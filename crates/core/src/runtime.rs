@@ -1,224 +1,25 @@
-//! The runtime abstraction that decouples the DPC protocol from any
-//! particular execution engine.
+//! How the DPC protocol meets the runtimes that execute it.
 //!
 //! Every protocol participant — [`crate::node::ProcessingNode`],
-//! [`crate::source::DataSource`], [`crate::client::ClientProxy`] — is
-//! written against two small traits:
+//! [`crate::source::DataSource`], [`crate::client::ClientProxy`] —
+//! implements [`Actor<NetMsg>`](Actor) exactly once and reacts to events
+//! through a `&mut dyn` [`RuntimeCtx<NetMsg>`](RuntimeCtx): clock,
+//! messaging, timers, reachability and randomness. Both traits are defined
+//! in `borealis-sim` and re-exported here.
 //!
-//! * [`RuntimeCtx`]: the handler-side view of a runtime (clock, messaging,
-//!   timers, reachability, randomness). The deterministic simulator's
-//!   `borealis_sim::Ctx` implements it (virtual time, seeded RNG), and so
-//!   does the real-time thread engine's context in `borealis-runtime`
-//!   (monotonic wall clock, OS threads, `mpsc` channels).
-//! * [`DpcActor`]: the runtime-agnostic actor interface. It mirrors
-//!   `borealis_sim::Actor` but takes `&mut dyn RuntimeCtx`, so a runtime
-//!   can drive boxed protocol actors without knowing their concrete types.
+//! Three runtimes drive the same boxed actors:
 //!
-//! The protocol types implement their logic once, as inherent methods
-//! generic over `C: RuntimeCtx + ?Sized`; thin forwarding impls expose that
-//! single body through both `borealis_sim::Actor` (static dispatch — the
-//! simulator monomorphizes, no overhead against the seed implementation)
-//! and [`DpcActor`] (dynamic dispatch for the thread engine). There are no
-//! `#[cfg]` forks: the exact same protocol code runs under virtual and
-//! wall-clock time.
+//! * the deterministic simulator (`borealis_sim::Sim`), whose context runs
+//!   on virtual time and a seeded RNG;
+//! * the worker pool in `borealis-runtime`, whose context runs on the
+//!   monotonic wall clock, per-worker timer wheels and mailboxes;
+//! * OS processes over TCP, which are the worker pool plus a socket fabric
+//!   for actors placed in other processes.
 //!
-//! Fault *model* types ([`FaultEvent`], the link-table semantics of
-//! `borealis_sim::Network`) stay in `borealis-sim`: they describe scripted
-//! failure scenarios, which both runtimes support, not the discrete-event
-//! kernel.
+//! There is no per-runtime adapter and no `#[cfg]` fork: each protocol body
+//! compiles once, and the exact same code runs under virtual and wall-clock
+//! time. Fault *model* types ([`borealis_sim::FaultEvent`], the link-table
+//! semantics of `borealis_sim::Network`) also live in `borealis-sim`: they
+//! describe scripted failure scenarios, which every runtime supports.
 
-use crate::msg::NetMsg;
-use borealis_sim::{Ctx, FaultEvent};
-use borealis_types::{Duration, NodeId, SendOutcome, Time};
-use rand::Rng;
-
-/// The handler-side view of a runtime: what a protocol actor may do while
-/// reacting to an event.
-///
-/// Implementations exist for the simulator kernel (`borealis_sim::Ctx`)
-/// and the thread engine (`borealis_runtime`'s context). Protocol code
-/// must not assume anything beyond this interface — in particular, `now()`
-/// may be virtual or wall-clock time, and `send` may deliver with simulated
-/// or native latency.
-pub trait RuntimeCtx {
-    /// Current time (virtual in the simulator, monotonic wall clock in the
-    /// thread engine).
-    fn now(&self) -> Time;
-
-    /// This actor's id.
-    fn id(&self) -> NodeId;
-
-    /// Sends `msg` to `to` through the runtime's [`Transport`]
-    /// (`crate::transport::Transport`) layer. Lost if the link or either
-    /// endpoint is down ([`SendOutcome::DroppedFault`]); under a bounded
-    /// credit policy a data message may instead be queued at the sender
-    /// awaiting credit ([`SendOutcome::Queued`] — the transport releases it
-    /// in FIFO order once the receiver consumes earlier deliveries).
-    fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome;
-
-    /// Sends `msg` so it departs at `depart` (clamped to now) — used by the
-    /// CPU cost model: outputs leave the node when the work completes.
-    /// Credit admission happens at the departure instant.
-    fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome;
-
-    /// Marks the data message currently being handled as consumed at `at`
-    /// (the receiver's modeled CPU completion): its link credit returns
-    /// then. Handlers that never call this consume instantly.
-    fn data_consumed_at(&mut self, _at: Time) {}
-
-    /// Continuous credit-stall duration of the inbound link `from → self`:
-    /// how long `from`'s sends to this actor have been queued awaiting
-    /// credit ([`Duration::ZERO`] when credit is flowing or flow control is
-    /// off). This is how an overloaded consumer's backpressure is surfaced
-    /// to the protocol layer (and from there to `SUnion`).
-    fn inbound_stall(&self, _from: NodeId) -> Duration {
-        Duration::ZERO
-    }
-
-    /// Schedules an `on_timer(kind)` callback at `at` (clamped to now).
-    fn set_timer(&mut self, at: Time, kind: u64);
-
-    /// True if `to` is currently reachable from this actor.
-    fn reachable(&self, to: NodeId) -> bool;
-
-    /// Uniform random sample from `[0, n)`; deterministic (seeded) in the
-    /// simulator.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    fn rand_range(&mut self, n: u64) -> u64;
-}
-
-/// Adapter: the deterministic simulator's context is a [`RuntimeCtx`].
-///
-/// This is the *only* glue between the protocol crate and the discrete-event
-/// kernel; everything else goes through the trait.
-impl RuntimeCtx for Ctx<'_, NetMsg> {
-    fn now(&self) -> Time {
-        Ctx::now(self)
-    }
-
-    fn id(&self) -> NodeId {
-        Ctx::id(self)
-    }
-
-    fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome {
-        Ctx::send(self, to, msg)
-    }
-
-    fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome {
-        Ctx::send_after(self, to, msg, depart)
-    }
-
-    fn data_consumed_at(&mut self, at: Time) {
-        Ctx::data_consumed_at(self, at)
-    }
-
-    fn inbound_stall(&self, from: NodeId) -> Duration {
-        Ctx::inbound_stall(self, from)
-    }
-
-    fn set_timer(&mut self, at: Time, kind: u64) {
-        Ctx::set_timer(self, at, kind)
-    }
-
-    fn reachable(&self, to: NodeId) -> bool {
-        Ctx::reachable(self, to)
-    }
-
-    fn rand_range(&mut self, n: u64) -> u64 {
-        self.rng().gen_range(0..n)
-    }
-}
-
-/// A runtime-agnostic protocol actor: the boxed interface a runtime uses to
-/// drive [`crate::node::ProcessingNode`], [`crate::source::DataSource`],
-/// and [`crate::client::ClientProxy`] without knowing which is which.
-///
-/// `Send` is required so the thread engine can move actors onto their OS
-/// threads; the simulator ignores the bound.
-pub trait DpcActor: Send {
-    /// Called once when the runtime starts the actor.
-    fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx) {}
-
-    /// Handles a message delivered from another actor.
-    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg);
-
-    /// Handles a timer previously set with [`RuntimeCtx::set_timer`].
-    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, kind: u64);
-
-    /// Notified of faults involving this actor.
-    fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx, _fault: &FaultEvent) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use borealis_sim::{Actor, Network, Sim};
-    use borealis_types::Duration;
-
-    /// An actor written purely against RuntimeCtx, driven by the simulator
-    /// through the adapter impl: proves the abstraction carries the full
-    /// surface (now/id/send/send_after/set_timer/reachable/rand_range).
-    struct Probe {
-        peer: NodeId,
-        got: Vec<(u64, String)>,
-    }
-
-    impl Probe {
-        fn start<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
-            assert!(ctx.reachable(self.peer));
-            let r = ctx.rand_range(10);
-            assert!(r < 10);
-            ctx.set_timer(ctx.now() + Duration::from_millis(5), 42);
-            ctx.send(
-                self.peer,
-                NetMsg::Unsubscribe {
-                    stream: borealis_types::StreamId(7),
-                },
-            );
-        }
-        fn message<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, _from: NodeId, msg: NetMsg) {
-            self.got
-                .push((ctx.now().as_millis(), msg.kind_name().into()));
-        }
-        fn timer<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, kind: u64) {
-            self.got
-                .push((ctx.now().as_millis(), format!("timer{kind}")));
-            // Departure in the future: arrival = depart + latency.
-            ctx.send_after(
-                self.peer,
-                NetMsg::HeartbeatReq,
-                ctx.now() + Duration::from_millis(10),
-            );
-        }
-    }
-
-    impl Actor<NetMsg> for Probe {
-        fn on_start(&mut self, ctx: &mut Ctx<NetMsg>) {
-            self.start(ctx)
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, from: NodeId, msg: NetMsg) {
-            self.message(ctx, from, msg)
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, kind: u64) {
-            self.timer(ctx, kind)
-        }
-    }
-
-    #[test]
-    fn sim_ctx_satisfies_runtime_ctx() {
-        let mut sim: Sim<NetMsg> = Sim::new(1, Network::new(Duration::from_millis(1)));
-        let a = sim.add_actor(Box::new(Probe {
-            peer: NodeId(1),
-            got: Vec::new(),
-        }));
-        let _b = sim.add_actor(Box::new(Probe {
-            peer: a,
-            got: Vec::new(),
-        }));
-        sim.run_until(Time::from_secs(1));
-        // Both probes exchanged messages and fired their timers; the run
-        // completing without panics exercises every RuntimeCtx method.
-    }
-}
+pub use borealis_sim::{Actor, RuntimeCtx};

@@ -27,10 +27,10 @@ use crate::durable::DurabilityConfig;
 use crate::metrics::MetricsHub;
 use crate::msg::NetMsg;
 use crate::node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
-use crate::runtime::DpcActor;
+use crate::runtime::Actor;
 use crate::source::{DataSource, SourceConfig};
 use borealis_diagram::{PhysicalPlan, StreamOrigin};
-use borealis_sim::{Actor, FaultEvent, Network, Sim};
+use borealis_sim::{FaultEvent, Network, Sim};
 use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
 
@@ -163,8 +163,7 @@ impl SystemBuilder {
 
     /// Sets the thread runtime's worker-pool size (the number of OS
     /// threads every actor multiplexes onto). Ignored by the simulator.
-    /// Unset, the runtime picks a machine-derived default (overridable via
-    /// the `BOREALIS_WORKERS` environment variable).
+    /// Unset, the runtime picks a machine-derived default.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
@@ -439,20 +438,9 @@ pub enum ActorSpec {
 }
 
 impl ActorSpec {
-    /// Instantiates the actor behind the runtime-agnostic [`DpcActor`]
-    /// interface (used by the thread engine).
-    pub fn into_dpc_actor(self, metrics: &MetricsHub) -> Box<dyn DpcActor> {
-        match self {
-            ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
-            ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
-            ActorSpec::Client { streams, tuning } => {
-                Box::new(ClientProxy::new(streams, tuning, metrics.clone()))
-            }
-        }
-    }
-
-    /// Instantiates the actor behind the simulator's `Actor` interface.
-    pub fn into_sim_actor(self, metrics: &MetricsHub) -> Box<dyn Actor<NetMsg>> {
+    /// Instantiates the actor every runtime drives (the simulator and the
+    /// thread engine alike).
+    pub fn into_actor(self, metrics: &MetricsHub) -> Box<dyn Actor<NetMsg> + Send> {
         match self {
             ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
             ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
@@ -592,7 +580,7 @@ impl SystemLayout {
         let mut sim: Sim<NetMsg> = Sim::new(self.seed, net);
         sim.set_flow_policy(self.flow_policy);
         for (i, spec) in self.actors.into_iter().enumerate() {
-            let id = sim.add_actor(spec.into_sim_actor(&self.metrics));
+            let id = sim.add_actor(spec.into_actor(&self.metrics));
             assert_eq!(id, NodeId(i as u32), "id layout mismatch");
         }
         for (at, fault) in self.script {

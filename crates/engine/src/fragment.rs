@@ -172,12 +172,6 @@ impl Fragment {
         self.push_batch(stream, &TupleBatch::single(tuple.clone()), now)
     }
 
-    /// Delivers a slice of external tuples (all on one stream), sealing
-    /// them into one shared batch first.
-    pub fn push_many(&mut self, stream: StreamId, tuples: &[Tuple], now: Time) -> Batch {
-        self.push_batch(stream, &TupleBatch::from_vec(tuples.to_vec()), now)
-    }
-
     /// Delivers a shared batch of external tuples (all on one stream) —
     /// the zero-copy data-plane entry point: the batch is enqueued by
     /// view, never copied.

@@ -37,7 +37,7 @@ use crate::sync::relock;
 use crate::sync::Arc;
 use crate::tcp::TcpFabric;
 use crate::wheel::{Due, TimerWheel};
-use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
+use borealis_dpc::{Actor, NetMsg, RuntimeCtx};
 use borealis_sim::{FaultEvent, ShardMsg};
 use borealis_types::{
     CreditPolicy, Duration, NodeId, PartitionSpec, SchedGauges, SendOutcome, ShardRouter, Time,
@@ -147,7 +147,7 @@ struct ThreadCtx<'a> {
     consumed_at: Option<Time>,
 }
 
-impl RuntimeCtx for ThreadCtx<'_> {
+impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     fn now(&self) -> Time {
         self.now
     }
@@ -386,7 +386,7 @@ impl Worker {
     }
 
     /// One message delivery, with the delivery-time checks and credit
-    /// accounting of the old per-actor loop.
+    /// accounting.
     fn process_msg(&mut self, id: NodeId, cell: &mut ActorCell, from: NodeId, msg: NetMsg) {
         let tracked = self.links.tracks(&msg);
         // Delivery-time reachability: a link (or endpoint) that went down
@@ -421,7 +421,7 @@ impl Worker {
         &mut self,
         id: NodeId,
         cell: &mut ActorCell,
-        f: impl FnOnce(&mut dyn DpcActor, &mut dyn RuntimeCtx),
+        f: impl FnOnce(&mut dyn Actor<NetMsg>, &mut dyn RuntimeCtx<NetMsg>),
     ) -> Option<Time> {
         let mut ctx = ThreadCtx {
             id,
@@ -490,43 +490,14 @@ pub struct ThreadRuntime {
 }
 
 impl ThreadRuntime {
-    /// The pool size used when none is requested: the `BOREALIS_WORKERS`
-    /// environment variable if set, else the machine's available
+    /// The pool size used when none is requested: the machine's available
     /// parallelism clamped to `[2, 8]` (at least two so stealing is live
     /// even on one core; at most eight — the scaling target's pool size).
     pub fn default_workers() -> usize {
-        if let Some(n) = std::env::var("BOREALIS_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n > 0 {
-                return n;
-            }
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(2)
             .clamp(2, 8)
-    }
-
-    /// Spawns the engine with the default pool size
-    /// ([`ThreadRuntime::default_workers`]); see
-    /// [`ThreadRuntime::spawn_pooled`].
-    pub fn spawn(
-        actors: Vec<Box<dyn DpcActor>>,
-        script: Vec<(Time, FaultEvent)>,
-        seed: u64,
-        partitions: Vec<(NodeId, PartitionSpec)>,
-        flow_policy: CreditPolicy,
-    ) -> ThreadRuntime {
-        Self::spawn_pooled(
-            actors,
-            script,
-            seed,
-            partitions,
-            flow_policy,
-            Self::default_workers(),
-        )
     }
 
     /// Spawns a pool of `workers` threads multiplexing every actor
@@ -534,30 +505,17 @@ impl ThreadRuntime {
     /// replaying `script` (already sorted by time). `partitions` declares
     /// key-sharded receivers: every data batch sent to such a node is
     /// filtered to its shard on the wire. `flow_policy` governs
-    /// credit-based flow control on every link.
+    /// credit-based flow control on every link. With a socket `fabric`
+    /// ([`crate::tcp::TcpFabric`]), sends to actors the fabric plans in
+    /// another process travel the wire, and the fabric's per-connection
+    /// reader threads feed incoming frames into local mailboxes.
     ///
     /// Every actor starts Queued, so its `on_start` runs as soon as a
     /// worker picks it up; the clock starts just before the pool spawns.
     /// The OS-thread budget is exactly `workers + 1` spawned threads
     /// (pool + fault controller), independent of the topology size.
-    pub fn spawn_pooled(
-        actors: Vec<Box<dyn DpcActor>>,
-        script: Vec<(Time, FaultEvent)>,
-        seed: u64,
-        partitions: Vec<(NodeId, PartitionSpec)>,
-        flow_policy: CreditPolicy,
-        workers: usize,
-    ) -> ThreadRuntime {
-        Self::spawn_with_fabric(actors, script, seed, partitions, flow_policy, workers, None)
-    }
-
-    /// [`ThreadRuntime::spawn_pooled`] plus an optional socket fabric
-    /// ([`crate::tcp::TcpFabric`]): sends to actors the fabric plans in
-    /// another process travel the wire, and the fabric's per-connection
-    /// reader threads feed incoming frames into local mailboxes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_fabric(
-        actors: Vec<Box<dyn DpcActor>>,
+    pub fn spawn(
+        actors: Vec<Box<dyn Actor<NetMsg> + Send>>,
         script: Vec<(Time, FaultEvent)>,
         seed: u64,
         partitions: Vec<(NodeId, PartitionSpec)>,
@@ -581,9 +539,8 @@ impl ThreadRuntime {
             .into_iter()
             .enumerate()
             .map(|(i, actor)| {
-                // Decorrelate per-actor streams from one shared seed —
-                // identical to the per-thread engine's seeding, so runs
-                // stay comparable across pool sizes.
+                // Decorrelate per-actor streams from one shared seed; an
+                // actor's stream does not depend on the pool size.
                 let rng = StdRng::seed_from_u64(
                     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         .wrapping_add(i as u64),
@@ -759,8 +716,8 @@ mod tests {
         peer: Option<NodeId>,
     }
 
-    impl DpcActor for Recorder {
-        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
+    impl Actor<NetMsg> for Recorder {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             if let Some(peer) = self.peer {
                 ctx.send(peer, NetMsg::HeartbeatReq);
                 ctx.set_timer(ctx.now() + Duration::from_millis(20), 7);
@@ -774,14 +731,14 @@ mod tests {
                 );
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
             self.log.lock().unwrap().push((from, msg.kind_name()));
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, kind: u64) {
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             assert_eq!(kind, 7);
             self.log.lock().unwrap().push((NodeId(u32::MAX), "timer"));
         }
-        fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx, fault: &FaultEvent) {
+        fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
             let tag = match fault {
                 FaultEvent::LinkDown { .. } => "link-down",
                 FaultEvent::LinkUp { .. } => "link-up",
@@ -821,6 +778,8 @@ mod tests {
             1,
             Vec::new(),
             CreditPolicy::Unbounded,
+            ThreadRuntime::default_workers(),
+            None,
         );
         assert!(
             wait_until(
@@ -873,7 +832,15 @@ mod tests {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn(vec![a, b], script, 1, Vec::new(), CreditPolicy::Unbounded);
+        let rt = ThreadRuntime::spawn(
+            vec![a, b],
+            script,
+            1,
+            Vec::new(),
+            CreditPolicy::Unbounded,
+            ThreadRuntime::default_workers(),
+            None,
+        );
         assert!(
             wait_until(
                 || {
@@ -911,7 +878,15 @@ mod tests {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn(vec![a, b], script, 1, Vec::new(), CreditPolicy::Unbounded);
+        let rt = ThreadRuntime::spawn(
+            vec![a, b],
+            script,
+            1,
+            Vec::new(),
+            CreditPolicy::Unbounded,
+            ThreadRuntime::default_workers(),
+            None,
+        );
         assert!(
             wait_until(
                 || log
@@ -941,22 +916,23 @@ mod tests {
         // OS threads (pool + fault controller), and the batch budget keeps
         // every mailbox moving.
         let log = Arc::new(Mutex::new(Vec::new()));
-        let actors: Vec<Box<dyn DpcActor>> = (0..200)
+        let actors: Vec<Box<dyn Actor<NetMsg> + Send>> = (0..200)
             .map(|i| {
                 Box::new(Recorder {
                     log: Arc::clone(&log),
                     // A ring: each actor heartbeats its successor.
                     peer: Some(NodeId(((i + 1) % 200) as u32)),
-                }) as Box<dyn DpcActor>
+                }) as Box<dyn Actor<NetMsg> + Send>
             })
             .collect();
-        let rt = ThreadRuntime::spawn_pooled(
+        let rt = ThreadRuntime::spawn(
             actors,
             Vec::new(),
             3,
             Vec::new(),
             CreditPolicy::Unbounded,
             3,
+            None,
         );
         assert_eq!(rt.workers(), 3);
         assert_eq!(rt.spawned_threads(), 4, "workers + fault controller");
@@ -984,28 +960,130 @@ mod tests {
         );
     }
 
+    /// An actor written purely against [`RuntimeCtx`] (now, id, send,
+    /// send_after, set_timer, reachable, rand_range); logs the kind of
+    /// every event it handles.
+    struct Probe {
+        peer: NodeId,
+        log: Arc<Mutex<Vec<(NodeId, &'static str)>>>,
+    }
+
+    impl Actor<NetMsg> for Probe {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+            assert!(ctx.reachable(self.peer));
+            assert!(ctx.rand_range(10) < 10);
+            ctx.set_timer(ctx.now() + Duration::from_millis(20), 42);
+            ctx.send(
+                self.peer,
+                NetMsg::Unsubscribe {
+                    stream: StreamId(7),
+                },
+            );
+        }
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, msg: NetMsg) {
+            self.log.lock().unwrap().push((ctx.id(), msg.kind_name()));
+        }
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
+            self.log.lock().unwrap().push((ctx.id(), "timer42"));
+            assert_eq!(kind, 42);
+            // Departure in the future: arrival = depart + link latency.
+            ctx.send_after(
+                self.peer,
+                NetMsg::HeartbeatReq,
+                ctx.now() + Duration::from_millis(20),
+            );
+        }
+    }
+
+    /// The same boxed actor type runs under the simulator kernel and the
+    /// worker pool, and both contexts give each probe the same ordered
+    /// events.
+    #[test]
+    fn sim_and_pool_drive_the_same_probe() {
+        let probes = |log: &Arc<Mutex<Vec<(NodeId, &'static str)>>>| {
+            [NodeId(1), NodeId(0)].map(|peer| {
+                Box::new(Probe {
+                    peer,
+                    log: Arc::clone(log),
+                }) as Box<dyn Actor<NetMsg> + Send>
+            })
+        };
+        let kinds_of = |log: &Arc<Mutex<Vec<(NodeId, &'static str)>>>, id: NodeId| {
+            let l = log.lock().unwrap();
+            l.iter()
+                .filter(|e| e.0 == id)
+                .map(|e| e.1)
+                .collect::<Vec<_>>()
+        };
+
+        let sim_log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: borealis_sim::Sim<NetMsg> =
+            borealis_sim::Sim::new(1, borealis_sim::Network::new(Duration::from_millis(1)));
+        for probe in probes(&sim_log) {
+            sim.add_actor(probe);
+        }
+        sim.run_until(Time::from_secs(1));
+
+        let pool_log = Arc::new(Mutex::new(Vec::new()));
+        let rt = ThreadRuntime::spawn(
+            probes(&pool_log).into(),
+            Vec::new(),
+            1,
+            Vec::new(),
+            CreditPolicy::Unbounded,
+            2,
+            None,
+        );
+        assert!(
+            wait_until(|| pool_log.lock().unwrap().len() >= 6, 2000),
+            "log: {:?}",
+            pool_log.lock().unwrap()
+        );
+        assert_eq!(rt.shutdown().total_drops(), 0);
+
+        for id in [NodeId(0), NodeId(1)] {
+            assert_eq!(
+                kinds_of(&sim_log, id),
+                ["unsubscribe", "timer42", "hb-req"],
+                "sim run of {id:?}"
+            );
+            assert_eq!(
+                kinds_of(&pool_log, id),
+                kinds_of(&sim_log, id),
+                "pool run of {id:?}"
+            );
+        }
+    }
+
     #[test]
     fn actor_panic_is_contained_and_reported_at_shutdown() {
         struct Bomb;
-        impl DpcActor for Bomb {
-            fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx) {
+        impl Actor<NetMsg> for Bomb {
+            fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>) {
                 panic!("boom");
             }
-            fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+            fn on_message(
+                &mut self,
+                _ctx: &mut dyn RuntimeCtx<NetMsg>,
+                _from: NodeId,
+                _msg: NetMsg,
+            ) {
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         let survivor = Box::new(Recorder {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn_pooled(
+        let rt = ThreadRuntime::spawn(
             vec![Box::new(Bomb), survivor],
             Vec::new(),
             1,
             Vec::new(),
             CreditPolicy::Unbounded,
             2,
+            None,
         );
         // The panic takes down only actor 0; the pool keeps running and
         // shutdown reports the casualty.

@@ -21,13 +21,13 @@
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
 //!   `deploy_sim` consumes — so one deployment description serves both
-//!   runtimes; the layout's `workers` field (or `BOREALIS_WORKERS`) sizes
-//!   the pool.
+//!   runtimes; the layout's `workers` field sizes the pool.
 //!
 //! The protocol code itself lives in `borealis-dpc` and is runtime-unaware
-//! (see `borealis_dpc::runtime`); this crate only supplies the
-//! [`RuntimeCtx`](borealis_dpc::RuntimeCtx) implementation and the pool
-//! scaffolding.
+//! (see `borealis_dpc::runtime`): the pool drives the same boxed
+//! [`Actor`](borealis_dpc::Actor)s as the simulator, and this crate only
+//! supplies the [`RuntimeCtx`](borealis_dpc::RuntimeCtx) implementation and
+//! the pool scaffolding.
 
 #![warn(missing_docs)]
 
@@ -125,8 +125,7 @@ impl RunningThreads {
 ///
 /// The scripted faults lowered by the layout replay at their scripted
 /// offsets from runtime start. The pool size is the layout's `workers`
-/// field if set (`SystemBuilder::workers`), else the `BOREALIS_WORKERS`
-/// environment variable, else a machine-derived default
+/// field if set (`SystemBuilder::workers`), else a machine-derived default
 /// ([`ThreadRuntime::default_workers`]).
 #[cfg(not(borealis_model))]
 pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
@@ -134,18 +133,19 @@ pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
     let actors = layout
         .actors
         .into_iter()
-        .map(|spec| spec.into_dpc_actor(&metrics))
+        .map(|spec| spec.into_actor(&metrics))
         .collect();
     let workers = layout
         .workers
         .unwrap_or_else(ThreadRuntime::default_workers);
-    let runtime = ThreadRuntime::spawn_pooled(
+    let runtime = ThreadRuntime::spawn(
         actors,
         layout.script,
         layout.seed,
         layout.partitions,
         layout.flow_policy,
         workers,
+        None,
     );
     RunningThreads {
         runtime,

@@ -12,11 +12,10 @@
 //! counts.
 
 use crate::sync::{read, relock, write, Arc, AtomicU64, Mutex, Ordering, RwLock};
-use borealis_dpc::{NetMsg, Transport};
+use borealis_dpc::NetMsg;
 use borealis_sim::{FaultEvent, FlowControl, Network, ShardMsg};
 use borealis_types::{
-    CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, SchedGauges, SendOutcome, Time,
-    WireGauges,
+    CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, SchedGauges, Time, WireGauges,
 };
 
 /// Message-loss accounting for a whole thread-engine run (the wall-clock
@@ -252,45 +251,6 @@ impl LinkTable {
 impl Default for LinkTable {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The thread-engine side of the shared [`Transport`] contract — the same
-/// credit verbs the simulator's kernel exposes, behind this table's locks.
-/// The engine's hot paths use the interior-mutability inherent methods;
-/// this impl exists so deployment-level tooling and tests can treat both
-/// runtimes' transports uniformly.
-impl Transport for LinkTable {
-    fn credit_policy(&self) -> CreditPolicy {
-        self.policy
-    }
-
-    fn try_send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: NetMsg,
-        now: Time,
-    ) -> (SendOutcome, Option<NetMsg>) {
-        if !self.tracks(&msg) {
-            return (SendOutcome::Delivered, Some(msg));
-        }
-        match self.admit(from, to, msg, now) {
-            Some(m) => (SendOutcome::Delivered, Some(m)),
-            None => (SendOutcome::Queued, None),
-        }
-    }
-
-    fn consumed(&mut self, from: NodeId, to: NodeId, now: Time) -> Option<NetMsg> {
-        self.consumed_release(from, to, now)
-    }
-
-    fn stalled_for(&self, from: NodeId, to: NodeId, now: Time) -> Duration {
-        LinkTable::stalled_for(self, from, to, now)
-    }
-
-    fn flow_gauges(&self) -> FlowGauges {
-        LinkTable::flow_gauges(self)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::scheduler::{Envelope, IdleLot, Scheduler};
 use crate::sync::{relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
 use borealis_check::sync::thread;
 use borealis_check::{explore, explore_expect_violation, Opts, Report};
-use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
+use borealis_dpc::{Actor, NetMsg, RuntimeCtx};
 use borealis_sim::FaultEvent;
 use borealis_types::{CreditPolicy, NodeId, Time};
 use rand::rngs::StdRng;
@@ -33,16 +33,16 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 
 struct Inert;
-impl DpcActor for Inert {
-    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+impl Actor<NetMsg> for Inert {
+    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
 }
 
 fn sched(n_actors: usize, workers: usize) -> Scheduler {
     let actors = (0..n_actors)
         .map(|i| {
             (
-                Box::new(Inert) as Box<dyn DpcActor>,
+                Box::new(Inert) as Box<dyn Actor<NetMsg> + Send>,
                 StdRng::seed_from_u64(i as u64),
             )
         })

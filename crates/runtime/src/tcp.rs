@@ -51,7 +51,7 @@ use crate::scheduler::{Envelope, Scheduler};
 use crate::sync::{cv_wait, read, relock, write};
 use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
 use borealis_dpc::{
-    decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
+    decode_frame, encode_frame, Actor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
 };
 use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId, StreamId, Time, WireGauges};
@@ -202,9 +202,9 @@ fn writer_loop(conn: Arc<Conn>) {
 /// deployment.
 struct RemoteStub;
 
-impl DpcActor for RemoteStub {
-    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+impl Actor<NetMsg> for RemoteStub {
+    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
 }
 
 /// What the acceptor thread needs to wire a rejoining peer's connection
@@ -909,7 +909,7 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
     );
     let metrics = layout.metrics.clone();
     let mut remote = Vec::new();
-    let actors: Vec<Box<dyn DpcActor>> = layout
+    let actors: Vec<Box<dyn Actor<NetMsg> + Send>> = layout
         .actors
         .into_iter()
         .enumerate()
@@ -917,16 +917,16 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
             let id = NodeId(i as u32);
             if fabric.is_remote(id) {
                 remote.push(id);
-                Box::new(RemoteStub) as Box<dyn DpcActor>
+                Box::new(RemoteStub) as Box<dyn Actor<NetMsg> + Send>
             } else {
-                spec.into_dpc_actor(&metrics)
+                spec.into_actor(&metrics)
             }
         })
         .collect();
     let workers = layout
         .workers
         .unwrap_or_else(ThreadRuntime::default_workers);
-    let runtime = ThreadRuntime::spawn_with_fabric(
+    let runtime = ThreadRuntime::spawn(
         actors,
         layout.script,
         layout.seed,
@@ -985,14 +985,14 @@ mod tests {
         to: NodeId,
         n: usize,
     }
-    impl DpcActor for Burst {
-        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
+    impl Actor<NetMsg> for Burst {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             for _ in 0..self.n {
                 ctx.send(self.to, data_msg());
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     /// Counts data deliveries (consumption is immediate: credit returns
@@ -1000,11 +1000,11 @@ mod tests {
     struct Counter {
         seen: Arc<AtomicUsize>,
     }
-    impl DpcActor for Counter {
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {
+    impl Actor<NetMsg> for Counter {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {
             self.seen.fetch_add(1, Ordering::SeqCst);
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     fn wait_until(pred: impl Fn() -> bool, ms: u64) -> bool {
@@ -1020,10 +1020,10 @@ mod tests {
 
     fn spawn_proc(
         fabric: &Arc<TcpFabric>,
-        actors: Vec<Box<dyn DpcActor>>,
+        actors: Vec<Box<dyn Actor<NetMsg> + Send>>,
         policy: CreditPolicy,
     ) -> ThreadRuntime {
-        let rt = ThreadRuntime::spawn_with_fabric(
+        let rt = ThreadRuntime::spawn(
             actors,
             Vec::new(),
             1,

@@ -86,9 +86,9 @@ impl<M> FlowControl<M> {
 
     /// True when `msg` must pass through this ledger — THE tracking rule
     /// of the flow-control layer (a credit-controlled message under a
-    /// tracking policy), shared by the kernel's event paths and the core
-    /// `Transport` impl. The thread engine's `LinkTable::tracks` mirrors
-    /// it against a lock-free policy copy.
+    /// tracking policy), used by the kernel's event paths. The thread
+    /// engine's `LinkTable::tracks` mirrors it against a lock-free policy
+    /// copy.
     pub fn tracks(&self, msg: &M) -> bool
     where
         M: crate::kernel::ShardMsg,

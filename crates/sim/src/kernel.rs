@@ -1,13 +1,14 @@
 //! The deterministic discrete-event kernel.
 //!
-//! All distributed-protocol logic in this repository runs as [`Actor`]s
-//! inside a [`Sim`]: a virtual clock, a totally ordered event queue
-//! (time, then insertion sequence), a seeded RNG, and the simulated
-//! [`Network`]. Two runs with the same seed and script produce identical
-//! event interleavings — which is what lets the test suite assert exact
-//! protocol behaviour and lets the benchmark harness reproduce the paper's
-//! experiments without a physical cluster.
+//! A [`Sim`] drives boxed [`Actor`]s through a [`RuntimeCtx`] over a
+//! virtual clock, a totally ordered event queue (time, then insertion
+//! sequence), a seeded RNG, and the simulated [`Network`]. Two runs with
+//! the same seed and script produce identical event interleavings — which
+//! is what lets the test suite assert exact protocol behaviour and lets
+//! the benchmark harness reproduce the paper's experiments without a
+//! physical cluster.
 
+use crate::actor::{Actor, RuntimeCtx};
 use crate::fault::FaultEvent;
 use crate::flow::FlowControl;
 use crate::net::Network;
@@ -15,7 +16,7 @@ use borealis_types::{
     CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, SendOutcome, ShardRouter, Time,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -49,22 +50,6 @@ pub trait ShardMsg: Sized {
 }
 
 impl ShardMsg for String {}
-
-/// A simulated participant: processing node, data source, or client proxy.
-pub trait Actor<M> {
-    /// Called once when the simulation starts.
-    fn on_start(&mut self, _ctx: &mut Ctx<M>) {}
-
-    /// Handles a message delivered from another actor.
-    fn on_message(&mut self, ctx: &mut Ctx<M>, from: NodeId, msg: M);
-
-    /// Handles a timer previously set with [`Ctx::set_timer`].
-    fn on_timer(&mut self, ctx: &mut Ctx<M>, kind: u64);
-
-    /// Notified of faults involving this actor (link/node failures, custom
-    /// scripted faults).
-    fn on_fault(&mut self, _ctx: &mut Ctx<M>, _fault: &FaultEvent) {}
-}
 
 /// Deferred actions an actor requests while handling an event.
 enum Action<M> {
@@ -112,8 +97,10 @@ impl SimStats {
     }
 }
 
-/// The handler-side view of the simulation.
-pub struct Ctx<'a, M> {
+/// The simulator's [`RuntimeCtx`]: virtual time, the seeded RNG, and the
+/// simulated network, with the actions a handler requests deferred until
+/// it returns.
+struct Ctx<'a, M> {
     now: Time,
     self_id: NodeId,
     net: &'a Network,
@@ -125,67 +112,28 @@ pub struct Ctx<'a, M> {
     consumed_at: Option<Time>,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Current virtual time.
-    pub fn now(&self) -> Time {
+impl<M: ShardMsg> RuntimeCtx<M> for Ctx<'_, M> {
+    fn now(&self) -> Time {
         self.now
     }
 
-    /// This actor's id.
-    pub fn id(&self) -> NodeId {
+    fn id(&self) -> NodeId {
         self.self_id
     }
 
-    /// Seeded RNG shared by the whole simulation (deterministic).
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// True if `to` is currently reachable from this actor.
-    pub fn reachable(&self, to: NodeId) -> bool {
-        self.net.reachable(self.self_id, to)
-    }
-
-    /// Marks the delivery currently being handled as consumed (by the
-    /// receiver's modeled CPU) at `at`: its link credit returns then, not
-    /// at arrival. Without this call credits return as soon as the handler
-    /// finishes — an infinitely fast consumer.
-    pub fn data_consumed_at(&mut self, at: Time) {
-        self.consumed_at = Some(at.max(self.now));
-    }
-
-    /// Continuous credit-stall duration of the inbound link `from → self`
-    /// ([`Duration::ZERO`] when credit is flowing or flow control is off).
-    pub fn inbound_stall(&self, from: NodeId) -> Duration {
-        self.flow.stalled_for(from, self.self_id, self.now)
-    }
-
-    /// Schedules `on_timer(kind)` at virtual time `at` (clamped to now).
-    pub fn set_timer(&mut self, at: Time, kind: u64) {
-        self.actions.push(Action::Timer {
-            at: at.max(self.now),
-            kind,
-        });
-    }
-}
-
-impl<'a, M: ShardMsg> Ctx<'a, M> {
-    /// Sends `msg` to `to`, arriving one link latency from now. Lost if the
-    /// link or either endpoint is down at send or delivery time; a
-    /// credit-controlled message may instead be queued awaiting credit
-    /// (returned outcome).
-    pub fn send(&mut self, to: NodeId, msg: M) -> SendOutcome {
+    /// Arrives one link latency from now. Lost if the link or either
+    /// endpoint is down at send or delivery time; a credit-controlled
+    /// message may instead be queued awaiting credit.
+    fn send(&mut self, to: NodeId, msg: M) -> SendOutcome {
         let at = self.now + self.net.latency(self.self_id, to);
         self.send_at_raw(to, msg, at)
     }
 
-    /// Sends `msg` so that it arrives one link latency after `depart` —
-    /// used by nodes whose CPU model finishes processing at a future
-    /// instant (outputs leave when the work completes). A future departure
-    /// reports [`SendOutcome::Deferred`] (matching the thread engine's
-    /// wheel); under a tracking credit policy the admission decision is
-    /// additionally made at the departure instant.
-    pub fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome {
+    /// Arrives one link latency after `depart`. A future departure reports
+    /// [`SendOutcome::Deferred`] (matching the thread engine's wheel);
+    /// under a tracking credit policy the admission decision is made at the
+    /// departure instant.
+    fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome {
         let depart = depart.max(self.now);
         if depart > self.now {
             // Send-time reachability mirrors the immediate path; credits
@@ -218,6 +166,33 @@ impl<'a, M: ShardMsg> Ctx<'a, M> {
         self.send_at_raw(to, msg, at)
     }
 
+    /// Without this call credits return as soon as the handler finishes —
+    /// an infinitely fast consumer.
+    fn data_consumed_at(&mut self, at: Time) {
+        self.consumed_at = Some(at.max(self.now));
+    }
+
+    fn inbound_stall(&self, from: NodeId) -> Duration {
+        self.flow.stalled_for(from, self.self_id, self.now)
+    }
+
+    fn set_timer(&mut self, at: Time, kind: u64) {
+        self.actions.push(Action::Timer {
+            at: at.max(self.now),
+            kind,
+        });
+    }
+
+    fn reachable(&self, to: NodeId) -> bool {
+        self.net.reachable(self.self_id, to)
+    }
+
+    fn rand_range(&mut self, n: u64) -> u64 {
+        self.rng.gen_range(0..n)
+    }
+}
+
+impl<M: ShardMsg> Ctx<'_, M> {
     fn send_at_raw(&mut self, to: NodeId, msg: M, at: Time) -> SendOutcome {
         // Send-time reachability check; delivery is checked again when the
         // event fires. Unreachable destinations drop the message — counted,
@@ -529,7 +504,7 @@ impl<M: ShardMsg> Sim<M> {
     /// it queued. Returns the handler's consumption mark, if it set one.
     fn with_actor<F>(&mut self, id: NodeId, f: F) -> Option<Time>
     where
-        F: FnOnce(&mut dyn Actor<M>, &mut Ctx<M>),
+        F: FnOnce(&mut dyn Actor<M>, &mut dyn RuntimeCtx<M>),
     {
         let actor = self.actors.get_mut(id.index())?;
         let mut ctx = Ctx {
@@ -597,7 +572,7 @@ mod tests {
     }
 
     impl Actor<String> for Echo {
-        fn on_message(&mut self, ctx: &mut Ctx<String>, from: NodeId, msg: String) {
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<String>, from: NodeId, msg: String) {
             self.log
                 .borrow_mut()
                 .push((ctx.now().as_millis(), ctx.id(), msg.clone()));
@@ -606,7 +581,7 @@ mod tests {
                 ctx.send(from, format!("re:{msg}"));
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<String>, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<String>, _kind: u64) {}
     }
 
     /// Sends one message at start and logs timer firings.
@@ -616,16 +591,16 @@ mod tests {
     }
 
     impl Actor<String> for Starter {
-        fn on_start(&mut self, ctx: &mut Ctx<String>) {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<String>) {
             ctx.send(self.to, "hello".into());
             ctx.set_timer(Time::from_millis(50), 7);
         }
-        fn on_message(&mut self, ctx: &mut Ctx<String>, _from: NodeId, msg: String) {
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<String>, _from: NodeId, msg: String) {
             self.log
                 .borrow_mut()
                 .push((ctx.now().as_millis(), ctx.id(), msg));
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<String>, kind: u64) {
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<String>, kind: u64) {
             self.log
                 .borrow_mut()
                 .push((ctx.now().as_millis(), ctx.id(), format!("timer{kind}")));
@@ -829,13 +804,14 @@ mod tests {
         n: u32,
     }
     impl Actor<Payload> for Flood {
-        fn on_start(&mut self, ctx: &mut Ctx<Payload>) {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<Payload>) {
             for i in 0..self.n {
                 ctx.send(self.to, Payload(i));
             }
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<Payload>, _from: NodeId, _msg: Payload) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<Payload>, _kind: u64) {}
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<Payload>, _from: NodeId, _msg: Payload) {
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<Payload>, _kind: u64) {}
     }
 
     /// Consumes each payload `per_msg` of modeled CPU after the previous.
@@ -845,12 +821,12 @@ mod tests {
         busy: Time,
     }
     impl Actor<Payload> for SlowSink {
-        fn on_message(&mut self, ctx: &mut Ctx<Payload>, _from: NodeId, msg: Payload) {
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<Payload>, _from: NodeId, msg: Payload) {
             self.seen.borrow_mut().push(msg.0);
             self.busy = self.busy.max(ctx.now()) + self.per_msg;
             ctx.data_consumed_at(self.busy);
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<Payload>, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<Payload>, _kind: u64) {}
     }
 
     fn flood_sim(policy: CreditPolicy, n: u32) -> (Sim<Payload>, Rc<RefCell<Vec<u32>>>) {

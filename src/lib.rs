@@ -101,7 +101,7 @@ pub mod prelude {
     };
     pub use borealis_dpc::{
         BufferPolicy, ClientTuning, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
-        SourceConfig, SystemBuilder, SystemLayout, Transport, ValueGen,
+        SourceConfig, SystemBuilder, SystemLayout, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
     pub use borealis_runtime::{
