@@ -278,8 +278,9 @@ pub struct BenchPoint {
     /// realtime benchmark (PR 1's micro-bench baseline).
     pub rate: Option<f64>,
     /// The best `saturation_stable_tuples_per_s` recorded anywhere in the
-    /// file — the K=4 clean capacity knee from `realtime_pipeline
-    /// saturate`. `None` for PRs that predate the saturation sweep.
+    /// file — the K=4 clean capacity knee, a historical record of the
+    /// retired `realtime_pipeline saturate` mode. `None` for PRs that
+    /// predate the saturation sweep.
     pub saturation: Option<f64>,
     /// The file's own description of what it measured.
     pub benchmark: Option<String>,

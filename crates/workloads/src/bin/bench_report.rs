@@ -5,12 +5,12 @@
 //! PRs, and exits non-zero if the newest PR's reference stable-throughput
 //! regressed more than 15% against the previous PR that recorded it.
 //!
-//! Scope: the `BENCH_PR*.json` files are recorded by hand from the runs
-//! their `command` fields name (CI re-runs `realtime_pipeline` but does
-//! not rewrite the files), so this gate checks the *recorded* trajectory —
-//! it catches a PR that honestly records a regression, and forces the
-//! conversation when someone must record one; it cannot catch numbers
-//! that were never re-measured. CI runs it as `cargo run --release -p
+//! Scope: the `BENCH_PR*.json` files are historical records, written by
+//! hand from runs of the `realtime_pipeline` modes their `command` fields
+//! name; those modes no longer exist and nothing rewrites the files. This
+//! gate therefore checks the *recorded* trajectory only — it cannot catch
+//! numbers that were never re-measured (`python3 perfbench/run.py`
+//! measures today's build). CI runs it as `cargo run --release -p
 //! borealis-workloads --bin bench_report`.
 
 use borealis_workloads::benchjson::{

@@ -19,10 +19,10 @@ pub use experiments::{
 };
 pub use report::{render_availability, render_chain, render_fig11, render_overhead, TextTable};
 pub use setups::{
-    chain_builder, chain_system, overhead_system, scale_grid_actors, scale_grid_builder,
-    scale_grid_fragments, scale_grid_offered, sharded_chain_builder, sharded_chain_system,
-    single_node_system, ChainOptions, OverheadOptions, PolicyVariant, ScaleOptions,
-    ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
+    chain_builder, chain_system, overhead_system, scale_grid_builder, sharded_chain_builder,
+    sharded_chain_system, single_node_system, ChainOptions, OverheadOptions, PolicyVariant,
+    ScaleOptions, ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT,
+    VARIANTS,
 };
 pub use tcp::{
     run_tcp_child, run_tcp_child_args, run_tcp_parent, ChildCommand, TcpChainSpec, TcpReport,

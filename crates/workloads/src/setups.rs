@@ -445,10 +445,10 @@ pub struct ScaleOptions {
     /// Replicas per fragment (per shard for the work stages).
     pub replication: usize,
     /// Input rate per chain (tuples/second). The grid's **total** offered
-    /// load is `chains × rate_per_chain` ([`scale_grid_offered`]) — when
-    /// comparing grid points, hold that product constant, or the larger
-    /// grid reports lower absolute throughput simply because it was
-    /// offered less input, not because the scheduler got slower.
+    /// load is `chains × rate_per_chain` — when comparing grid points, hold
+    /// that product constant, or the larger grid reports lower absolute
+    /// throughput simply because it was offered less input, not because
+    /// the scheduler got slower.
     pub rate_per_chain: f64,
     /// Per-SUnion delay under uniform assignment (each chain has two
     /// SUnion hops: work, deliver).
@@ -480,24 +480,6 @@ impl Default for ScaleOptions {
             seed: 7,
         }
     }
-}
-
-/// Physical fragments the scale grid deploys: `chains × (shards + 1)`.
-pub fn scale_grid_fragments(o: &ScaleOptions) -> u32 {
-    o.chains * (o.shards + 1)
-}
-
-/// Total actors: every fragment replicated, plus one source per chain and
-/// one client.
-pub fn scale_grid_actors(o: &ScaleOptions) -> u32 {
-    scale_grid_fragments(o) * o.replication as u32 + o.chains + 1
-}
-
-/// Total offered load of the grid (tuples/second): `chains ×
-/// rate_per_chain`. Grid points are throughput-comparable only at equal
-/// offered load.
-pub fn scale_grid_offered(o: &ScaleOptions) -> f64 {
-    o.chains as f64 * o.rate_per_chain
 }
 
 /// Builds the scale grid deployment description; the returned streams are
@@ -732,9 +714,10 @@ mod tests {
         };
         let (builder, outs) = scale_grid_builder(&o);
         let mut sys = builder.build();
+        // Each chain: K work shards plus one deliver stage.
         assert_eq!(
             sys.fragment_replicas.len(),
-            scale_grid_fragments(&o) as usize
+            (o.chains * (o.shards + 1)) as usize
         );
         sys.run_until(Time::from_secs(6));
         for out in outs {

@@ -1,1143 +1,65 @@
-//! Real-time sharded benchmark: the key-partitioned chain (three sources →
-//! ingest Union → an expensive "work" stage × K shards → deliver merge →
-//! client) served by the multi-threaded wall-clock runtime — one OS thread
-//! per source, shard replica, and client.
+//! Real-time sharded pipeline: the key-partitioned chain (three sources →
+//! ingest Union → an expensive "work" stage × 4 shards → deliver merge →
+//! client), every fragment replicated twice, served by the wall-clock
+//! worker pool for four seconds. At t = 1.5 s one replica of work shard 1
+//! crashes for good: DPC checkpoints, fails over to the surviving replica,
+//! and reconciles, while the other shards keep running.
 //!
 //! Run with:
-//! `cargo run --release --example realtime_pipeline [clean|overload|scale|tcp|recover]`
+//! `cargo run --release --example realtime_pipeline`
 //!
-//! **clean** — the K = 1/2/4 shard sweep at fixed offered load, plus the
-//! K = 4 run with a scripted mid-run crash of one shard replica (the
-//! checkpoint / tentative-release / reconciliation path under full load).
-//!
-//! **overload** — the credit-based flow-control study (`BENCH_PR5.json`):
-//! offered load pushed past the single-instance work stage's saturation
-//! point, at two credit-window sizes plus the metered-unbounded baseline.
-//! With a bounded window the receiver-side in-flight depth stays pinned at
-//! the window and the overload surfaces as *delayed* (tentative, later
-//! corrected) buckets within the §6 delay budget; the unbounded baseline
-//! shows the buffering growing without bound instead. A bounded-window run
-//! at the reference configuration guards the clean-path throughput.
-//!
-//! **scale** — the worker-pool scheduler sweep (`BENCH_PR6.json`): a
-//! fragments × workers grid up to 1040 fragments (16 chains × K=64) on an
-//! 8-thread pool, a mid-run shard-replica crash at that scale, an OS
-//! thread-count ceiling check (`workers + 2`), and a dedicated-thread
-//! parity run at the reference configuration.
-//!
-//! **tcp** — the multi-process deployment (`BENCH_PR7.json`): the same
-//! K = 4 reference chain forked across **three OS processes** over
-//! loopback sockets (this binary re-execs itself as the worker
-//! processes). Measures loopback throughput against the in-process
-//! engine, the frame-coalescing ratio, a mid-run replica crash in a
-//! worker process, and a bounded-window run proving credit grants ride
-//! the wire as explicit frames.
-//!
-//! **recover** — the durable-restart study (`BENCH_PR9.json`): every node
-//! replica writes periodic checkpoints and an append-only input log to a
-//! per-node store. A durability-on run guards the reference throughput, a
-//! worker **process** is SIGKILLed mid-run and respawned to restart from
-//! disk (snapshot load + bounded log replay + mesh rejoin), and a
-//! checkpoint-interval sweep shows the replayed log-suffix length and
-//! recovery time tracking the interval.
-//!
-//! **saturate** — the capacity-knee study (`BENCH_PR10.json`): offered
-//! load is ramped (geometric climb + bisection) to locate the highest
-//! duplicate-free sustained stable throughput at K = 1/4/8 shards, clean
-//! and through a mid-run shard-replica crash. The modeled per-tuple CPU
-//! cost is dialed down to 1 µs so the *real* data plane — shard routing,
-//! scheduler handoff, SUnion merge — is what saturates, not the synthetic
-//! cost model. `SATURATE_WALL_SECS` overrides the per-probe run length.
-//!
-//! With no argument all sections run.
-//!
-//! Knobs: `REALTIME_RATE` (tuples/s per source, default 4000),
-//! `REALTIME_WALL_SECS` (seconds per run, default 4).
+//! The guarantees this demo shows — no duplicate stable output, a stable
+//! stream that keeps flowing through the crash — are asserted under load by
+//! `cargo test --release --test realtime`; throughput, latency, and
+//! recovery numbers come from `python3 perfbench/run.py`.
 
 use borealis::prelude::*;
-use borealis_workloads::{
-    run_tcp_child_args, run_tcp_parent, scale_grid_actors, scale_grid_builder,
-    scale_grid_fragments, scale_grid_offered, sharded_chain_builder, ChildCommand, ScaleOptions,
-    ShardedChainOptions, TcpChainSpec,
-};
+use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
 
-struct RunResult {
-    shards: u32,
-    throughput: f64,
-    n_stable: u64,
-    n_tentative: u64,
-    dup: u64,
-    drops: u64,
-    max_gap: Duration,
-    procnew: Duration,
-    flow: FlowGauges,
-}
-
-fn options(shards: u32, per_source_rate: f64) -> ShardedChainOptions {
-    ShardedChainOptions {
+fn main() {
+    let shards = 4;
+    let wall = std::time::Duration::from_secs(4);
+    let opts = ShardedChainOptions {
         shards,
         replication: 2,
-        total_rate: per_source_rate * 3.0,
+        total_rate: 12_000.0,
         per_node_delay: Duration::from_millis(500),
         light_cost: Duration::from_micros(2),
         work_cost: Duration::from_micros(40),
         seed: 7,
         ..Default::default()
-    }
-}
-
-fn run_once(
-    shards: u32,
-    per_source_rate: f64,
-    wall_secs: f64,
-    crash: bool,
-    policy: CreditPolicy,
-) -> RunResult {
-    let (mut builder, out) = sharded_chain_builder(&options(shards, per_source_rate));
-    builder = builder.credit_policy(policy);
-    if crash {
-        // Kill replica 0 of work-stage shard 1 at t=1.5s, permanently:
-        // DPC must checkpoint, fail over to the surviving replica, and
-        // stabilize, all without disturbing the other shards.
-        builder = builder.fault(FaultSpec::CrashReplica {
+    };
+    let (builder, out) = sharded_chain_builder(&opts);
+    let layout = builder
+        .fault(FaultSpec::CrashReplica {
             frag: 1,
             shard: 1,
             replica: 0,
             from: Time::from_millis(1500),
             to: None,
-        });
-    }
-    let sys = deploy_threads(builder.layout());
+        })
+        .layout();
+
+    println!(
+        "sharded chain: K={shards} work shards x 2 replicas, {:.0} tuples/s offered, \
+         40 us/tuple work stage, {}s on the worker pool",
+        opts.total_rate,
+        wall.as_secs()
+    );
+    println!("work shard 1, replica 0 crashes at t=1.5s\n");
+
+    let sys = deploy_threads(layout);
     let started = std::time::Instant::now();
-    sys.run_for(std::time::Duration::from_secs_f64(wall_secs));
+    sys.run_for(wall);
     let elapsed = started.elapsed().as_secs_f64();
-    let (n_stable, n_tentative, dup, max_gap, procnew) = sys.metrics.with(out, |m| {
-        (
-            m.n_stable,
-            m.n_tentative,
-            m.dup_stable,
-            m.max_gap,
-            m.procnew,
-        )
-    });
-    let flow = sys.flow_gauges();
-    let drops = sys.shutdown();
-    RunResult {
-        shards,
-        throughput: n_stable as f64 / elapsed,
-        n_stable,
-        n_tentative,
-        dup,
-        drops: drops.total_drops(),
-        max_gap,
-        procnew,
-        flow,
-    }
-}
+    let (stable, tentative, dup) = sys
+        .metrics
+        .with(out, |m| (m.n_stable, m.n_tentative, m.dup_stable));
+    let drops = sys.shutdown().total_drops();
 
-/// The K = 1/2/4 sharding sweep plus the mid-run crash run (BENCH_PR4's
-/// reference measurements, unchanged).
-fn clean_section(per_source_rate: f64, wall_secs: f64) {
-    let offered = per_source_rate * 3.0;
-    println!(
-        "sharded realtime chain: {offered:.0} tuples/s offered, 40 µs/tuple work stage, \
-         {wall_secs:.0}s per run\n"
-    );
-    println!("  K | actors | stable tuples | stable tuples/s | dup | drops");
-    println!("  --+--------+---------------+-----------------+-----+------");
-    let mut results = Vec::new();
-    for shards in [1u32, 2, 4] {
-        let r = run_once(
-            shards,
-            per_source_rate,
-            wall_secs,
-            false,
-            CreditPolicy::Unbounded,
-        );
-        // 3 sources + 2 ingest + 2K work + 2 deliver + 1 client.
-        let actors = 3 + 2 + 2 * shards + 2 + 1;
-        println!(
-            "  {} | {:>6} | {:>13} | {:>15.0} | {:>3} | {:>5}",
-            r.shards, actors, r.n_stable, r.throughput, r.dup, r.drops
-        );
-        results.push(r);
-    }
-
-    let t1 = results[0].throughput;
-    let t4 = results[2].throughput;
-    println!(
-        "\nscaling: K=4 sustains {:.2}x the stable throughput of K=1 at the same offered load",
-        t4 / t1
-    );
-
-    for r in &results {
-        assert_eq!(r.dup, 0, "K={}: no duplicate stable tuples", r.shards);
-        assert_eq!(r.drops, 0, "K={}: healthy runs lose nothing", r.shards);
-        assert!(
-            r.n_stable > 1_000,
-            "K={}: live traffic must flow ({} stable)",
-            r.shards,
-            r.n_stable
-        );
-    }
-    assert!(
-        t4 > t1 * 1.10,
-        "sharding the saturated stage must raise stable throughput: K=1 {t1:.0}/s vs K=4 {t4:.0}/s"
-    );
-    println!(
-        "key-partitioned sharding lifted the saturated stage past its single-instance ceiling."
-    );
-
-    // --- K=4 with a mid-run shard-replica crash -------------------------
-    // Exercises the failure hot path: the O(#ops) copy-on-write checkpoint
-    // at the detection instant, batch-range replay logs during the outage,
-    // and view-based reconciliation replay.
-    let c = run_once(4, per_source_rate, wall_secs, true, CreditPolicy::Unbounded);
-    println!(
-        "\ncrash run (K=4, shard replica killed at t=1.5s): \
-         {:.0} stable tuples/s, {} stable, {} tentative, {} dup, {} drops",
-        c.throughput, c.n_stable, c.n_tentative, c.dup, c.drops
-    );
-    assert_eq!(c.dup, 0, "failover must not duplicate stable tuples");
-    assert!(
-        c.drops > 0,
-        "the scripted crash must actually sever traffic"
-    );
-    assert!(
-        c.n_stable > 1_000,
-        "stable output must keep flowing through the failure ({} stable)",
-        c.n_stable
-    );
-    println!("failover kept the stable stream flowing, duplicate-free.");
-}
-
-/// The flow-control overload sweep: offered load past the K=1 work stage's
-/// saturation point, at two credit-window sizes and the metered-unbounded
-/// baseline, plus a bounded-window guard run at the reference config.
-fn overload_section(per_source_rate: f64, wall_secs: f64) {
-    // 24k offered into a work stage whose effective capacity (ingest +
-    // emission both charge the modeled CPU) is ~12.5k tuples/s.
-    let per_source_overload = 8_000.0;
-    let offered = per_source_overload * 3.0;
-    println!(
-        "\noverload sweep: K=1, {offered:.0} tuples/s offered past saturation, \
-         delay budget 500 ms/SUnion (1.5 s total), {wall_secs:.0}s per run\n"
-    );
-    println!(
-        "  policy      | stable/s | tentative | inflight_peak | queued_peak | stall_time | max_gap | procnew"
-    );
-    println!(
-        "  ------------+----------+-----------+---------------+-------------+------------+---------+--------"
-    );
-
-    let mut bounded = Vec::new();
-    for window in [8u32, 32] {
-        let r = run_once(
-            1,
-            per_source_overload,
-            wall_secs,
-            false,
-            CreditPolicy::Window(window),
-        );
-        println!(
-            "  window {window:>4} | {:>8.0} | {:>9} | {:>13} | {:>11} | {:>10} | {:>7} | {}",
-            r.throughput,
-            r.n_tentative,
-            r.flow.inflight_peak,
-            r.flow.queued_peak,
-            r.flow.stall_time,
-            r.max_gap,
-            r.procnew
-        );
-        assert_eq!(r.dup, 0, "window {window}: no duplicate stable tuples");
-        assert!(
-            r.flow.inflight_peak <= window as u64,
-            "window {window}: in-flight depth must be bounded by the credit window \
-             (got {})",
-            r.flow.inflight_peak
-        );
-        assert!(
-            r.flow.stalls > 0 && r.flow.queued > 0,
-            "window {window}: overload must actually stall the links: {:?}",
-            r.flow
-        );
-        // The narrow window surfaces the overload within the run; the wide
-        // one absorbs most of the burst first (that is the knob's trade:
-        // window size = how much burst is smoothed before the §6 machinery
-        // engages).
-        if window == 8 {
-            assert!(
-                r.n_tentative > 0,
-                "window {window}: the overload must surface as delayed tentative buckets"
-            );
-        }
-        bounded.push(r);
-    }
-
-    let m = run_once(
-        1,
-        per_source_overload,
-        wall_secs,
-        false,
-        CreditPolicy::Metered,
-    );
-    println!(
-        "  metered     | {:>8.0} | {:>9} | {:>13} | {:>11} | {:>10} | {:>7} | {}",
-        m.throughput,
-        m.n_tentative,
-        m.flow.inflight_peak,
-        m.flow.queued_peak,
-        m.flow.stall_time,
-        m.max_gap,
-        m.procnew
-    );
-    let widest = 32u64;
-    assert!(
-        m.flow.inflight_peak > 2 * widest,
-        "the unbounded baseline must show monotonically growing buffering \
-         (in-flight peak {} vs window {widest})",
-        m.flow.inflight_peak
-    );
-    println!(
-        "\nbounded windows pinned receiver-side buffering at the window; the unbounded \
-         baseline grew to {}x the widest window.",
-        m.flow.inflight_peak / widest
-    );
-
-    // --- Reference-config guard: credits must not tax the clean path ----
-    let reference = run_once(
-        4,
-        per_source_rate,
-        wall_secs,
-        false,
-        CreditPolicy::Unbounded,
-    );
-    let guarded = run_once(
-        4,
-        per_source_rate,
-        wall_secs,
-        false,
-        CreditPolicy::Window(64),
-    );
-    println!(
-        "\nreference config (K=4, {:.0}/s offered): unbounded {:.0} stable/s vs \
-         window-64 {:.0} stable/s; procnew {} vs {}",
-        per_source_rate * 3.0,
-        reference.throughput,
-        guarded.throughput,
-        reference.procnew,
-        guarded.procnew
-    );
-    assert!(
-        guarded.throughput > reference.throughput * 0.85,
-        "bounded credits must not regress clean-path throughput >15%: \
-         {:.0} vs {:.0}",
-        guarded.throughput,
-        reference.throughput
-    );
-    let added = guarded.procnew.saturating_sub(reference.procnew);
-    assert!(
-        added <= Duration::from_millis(1500),
-        "added delay at the reference config must stay inside the total \
-         delay budget: +{added}"
-    );
-    println!("credit flow control held the reference path: <15% throughput delta, added delay {added} ≤ budget.");
-}
-
-/// OS threads of this process right now, from `/proc/self/status`
-/// (`None` where procfs is unavailable).
-fn os_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
-
-struct ScaleResult {
-    stable: u64,
-    tentative: u64,
-    dup: u64,
-    drops: u64,
-    threads: Option<usize>,
-    sched: SchedGauges,
-    elapsed: f64,
-}
-
-fn run_scale(o: &ScaleOptions, workers: usize, wall_secs: f64, crash: bool) -> ScaleResult {
-    let (mut builder, outs) = scale_grid_builder(o);
-    builder = builder.workers(workers);
-    if crash {
-        // Kill replica 0 of chain 1's work-stage shard 1 (logical fragment
-        // 2) at t=1.5s, permanently: failover at scale, contained to one
-        // chain out of thousands of fragments.
-        builder = builder.fault(FaultSpec::CrashReplica {
-            frag: 2,
-            shard: 1,
-            replica: 0,
-            from: Time::from_millis(1500),
-            to: None,
-        });
-    }
-    let sys = deploy_threads(builder.layout());
-    let started = std::time::Instant::now();
-    sys.run_for(std::time::Duration::from_secs_f64(wall_secs));
-    let elapsed = started.elapsed().as_secs_f64();
-    let threads = os_threads();
-    let sched = sys.sched_gauges();
-    let (mut stable, mut tentative, mut dup) = (0u64, 0u64, 0u64);
-    for out in &outs {
-        sys.metrics.with(*out, |m| {
-            stable += m.n_stable;
-            tentative += m.n_tentative;
-            dup += m.dup_stable;
-        });
-    }
-    let drops = sys.shutdown();
-    ScaleResult {
-        stable,
-        tentative,
-        dup,
-        drops: drops.total_drops(),
-        threads,
-        sched,
-        elapsed,
-    }
-}
-
-/// The worker-pool scaling sweep: a fragments × workers grid up to the
-/// 1040-fragment / K=64 / 8-worker point, plus a mid-run shard-replica
-/// crash at scale, all on a fixed pool of OS threads.
-fn scale_section(per_source_rate: f64, wall_secs: f64) {
-    println!(
-        "\nscale sweep: chains × (K+1) fragments multiplexed onto a fixed worker pool, \
-         {wall_secs:.0}s per run\n"
-    );
-    println!(
-        "  chains |  K | fragments | actors | workers | offered/s | threads | stable/s | steals | parks | dup"
-    );
-    println!(
-        "  -------+----+-----------+--------+---------+-----------+---------+----------+--------+-------+----"
-    );
-    // Per-chain rate shrinks as the grid grows — the point is actor count,
-    // not offered load — but the *total* offered load (chains × rate) is
-    // held at 800/s across all three points so the stable/s column is
-    // comparable. (The earlier 16×25 = 400/s grid point made the
-    // 1040-fragment row look like a throughput cliff when it was simply
-    // offered half the input.)
-    let grid = [
-        (4u32, 4u32, 2usize, 200.0),
-        (8, 16, 4, 100.0),
-        (16, 64, 8, 50.0),
-    ];
-    let mut steals_total = 0u64;
-    for (chains, shards, workers, rate) in grid {
-        let o = ScaleOptions {
-            chains,
-            shards,
-            rate_per_chain: rate,
-            ..Default::default()
-        };
-        let fragments = scale_grid_fragments(&o);
-        let actors = scale_grid_actors(&o);
-        let r = run_scale(&o, workers, wall_secs, false);
-        println!(
-            "  {:>6} | {:>2} | {:>9} | {:>6} | {:>7} | {:>9.0} | {:>7} | {:>8.0} | {:>6} | {:>5} | {:>3}",
-            chains,
-            shards,
-            fragments,
-            actors,
-            workers,
-            scale_grid_offered(&o),
-            r.threads.map_or_else(|| "?".into(), |t| t.to_string()),
-            r.stable as f64 / r.elapsed,
-            r.sched.steals,
-            r.sched.parks,
-            r.dup
-        );
-        assert_eq!(r.dup, 0, "{chains}x{shards}: no duplicate stable tuples");
-        assert_eq!(r.drops, 0, "{chains}x{shards}: healthy runs lose nothing");
-        assert!(
-            r.stable > chains as u64 * 20,
-            "{chains}x{shards}: every chain's output must flow ({} stable)",
-            r.stable
-        );
-        // The pool must stay fixed-size no matter how many actors exist:
-        // `workers` pool threads + the fault controller + the main thread.
-        if let Some(t) = r.threads {
-            assert!(
-                t <= workers + 2,
-                "{actors} actors may never exceed workers+2 OS threads (got {t})"
-            );
-        }
-        assert!(
-            r.sched.parks > 0,
-            "idle workers must park, not spin: {:?}",
-            r.sched
-        );
-        steals_total += r.sched.steals;
-    }
-    assert!(
-        steals_total > 0,
-        "imbalanced queues must trigger work stealing somewhere in the sweep"
-    );
-    println!(
-        "\n1040 fragments ran on 8 pool threads (+ fault controller); idle actors cost \
-         parks, not spins."
-    );
-
-    // --- Mid-run shard-replica crash at the 1040-fragment point ---------
-    let o = ScaleOptions {
-        chains: 16,
-        shards: 64,
-        rate_per_chain: 50.0,
-        ..Default::default()
-    };
-    let c = run_scale(&o, 8, wall_secs + 2.0, true);
-    println!(
-        "crash at scale (1040 fragments, shard replica killed at t=1.5s): \
-         {} stable, {} tentative, {} dup, {} drops",
-        c.stable, c.tentative, c.dup, c.drops
-    );
-    assert_eq!(c.dup, 0, "failover at scale must not duplicate");
-    assert!(
-        c.drops > 0,
-        "the scripted crash must actually sever traffic"
-    );
-    assert!(
-        c.stable > 16 * 20,
-        "stable output must keep flowing through the failure ({} stable)",
-        c.stable
-    );
-    println!("failover at 1040 fragments stayed duplicate-free on the fixed pool.");
-
-    // --- Dedicated-thread parity at today's scale -----------------------
-    // BENCH_PR5 recorded 29249 stable/s for the K=4 reference config on
-    // the dedicated-thread engine (REALTIME_RATE=10000, wall 8s). The
-    // pooled engine must hold that within 10% at the same config.
-    let r = run_once(
-        4,
-        per_source_rate,
-        wall_secs,
-        false,
-        CreditPolicy::Unbounded,
-    );
-    println!(
-        "\nreference config under the pool (K=4, {:.0}/s offered): {:.0} stable tuples/s",
-        per_source_rate * 3.0,
-        r.throughput
-    );
-    if per_source_rate >= 10_000.0 && wall_secs >= 8.0 {
-        assert!(
-            r.throughput >= 29_249.0 * 0.90,
-            "the pooled scheduler must stay within 10% of the dedicated-thread \
-             reference (29249 stable/s): got {:.0}",
-            r.throughput
-        );
-        println!("pooled engine holds the dedicated-thread reference within 10%.");
-    }
-}
-
-/// The multi-process socket section: the K = 4 reference chain forked
-/// across three OS processes over loopback TCP (this binary re-execs
-/// itself with the `__tcp_child` sentinel as the worker processes; the
-/// parent process hosts the sources and the client).
-fn tcp_section(per_source_rate: f64, wall_secs: f64) {
-    let offered = per_source_rate * 3.0;
-    println!(
-        "\ntcp deployment: K=4 chain across 3 OS processes over loopback sockets, \
-         {offered:.0} tuples/s offered, {wall_secs:.0}s per run\n"
-    );
-    let exe = std::env::current_exe().expect("own executable path");
-    let child = ChildCommand {
-        program: exe.to_string_lossy().into_owned(),
-        prefix: vec!["__tcp_child".into()],
-    };
-    let spec = |crash: bool, window: Option<u32>| TcpChainSpec {
-        shards: 4,
-        per_source_rate,
-        wall_ms: (wall_secs * 1000.0) as u64,
-        crash,
-        window,
-        procs: 3,
-        workers: 4,
-        seed: 7,
-        source_limit: None,
-        ..TcpChainSpec::default()
-    };
-
-    // In-process reference at the identical config, then the same chain
-    // with every fragment replica living in a forked worker process.
-    let inproc = run_once(
-        4,
-        per_source_rate,
-        wall_secs,
-        false,
-        CreditPolicy::Unbounded,
-    );
-    let clean = run_tcp_parent(&spec(false, None), &child).expect("tcp clean run");
-    println!("  in-process  : {:.0} stable tuples/s", inproc.throughput);
-    println!(
-        "  loopback tcp: {:.0} stable tuples/s ({:.0}% of in-process), {} stable, {} dup",
-        clean.throughput,
-        100.0 * clean.throughput / inproc.throughput,
-        clean.n_stable,
-        clean.dup
-    );
-    println!(
-        "  wire (proc 0): {} frames in {} flushes ({:.1} frames/syscall), \
-         {} bytes sent, {} bytes received, {} conns",
-        clean.wire.frames_sent,
-        clean.wire.flushes,
-        clean.wire.frames_per_flush(),
-        clean.wire.bytes_sent,
-        clean.wire.bytes_recv,
-        clean.wire.conns
-    );
-    assert_eq!(clean.dup, 0, "sockets must not duplicate stable tuples");
-    assert!(
-        clean.n_stable > 1_000,
-        "live traffic must flow across the wire ({} stable)",
-        clean.n_stable
-    );
-    assert!(
-        clean.wire.frames_per_flush() >= 1.0,
-        "the writer must coalesce frames into syscalls: {:?}",
-        clean.wire
-    );
-    // No drops assertion on clean tcp runs: at teardown the peer that sends
-    // its Goodbye first makes the other side count a few late heartbeats as
-    // send drops — benign shutdown skew, not data loss (dup == 0 and the
-    // three-way equivalence test pin correctness).
-    if per_source_rate >= 10_000.0 && wall_secs >= 8.0 {
-        assert!(
-            clean.throughput >= 29_249.0 * 0.80,
-            "loopback TCP must hold ≥80% of the in-process reference \
-             (29249 stable/s): got {:.0}",
-            clean.throughput
-        );
-        println!("  loopback tcp holds ≥80% of the in-process reference.");
-    }
-
-    // --- Mid-run replica crash in a worker process -----------------------
-    let crash = run_tcp_parent(&spec(true, None), &child).expect("tcp crash run");
-    println!(
-        "\ncrash run (work-shard replica killed at t=1.5s in a worker process): \
-         {:.0} stable/s, {} stable, {} tentative, {} dup, {} drops",
-        crash.throughput, crash.n_stable, crash.n_tentative, crash.dup, crash.drops
-    );
-    assert_eq!(crash.dup, 0, "cross-process failover must not duplicate");
-    assert!(
-        crash.drops > 0,
-        "the scripted crash must sever traffic somewhere in the cluster"
-    );
-    assert!(
-        crash.n_stable > 1_000,
-        "stable output must keep flowing through the failure ({} stable)",
-        crash.n_stable
-    );
-
-    // --- Bounded window: the credit protocol rides the wire --------------
-    let windowed = run_tcp_parent(&spec(false, Some(64)), &child).expect("tcp windowed run");
-    println!(
-        "\nwindow-64 run: {:.0} stable/s; {} grant frames sent, {} received (proc 0)",
-        windowed.throughput, windowed.wire.grants_sent, windowed.wire.grants_recv
-    );
-    assert_eq!(windowed.dup, 0);
-    assert!(
-        windowed.wire.grants_sent > 0 && windowed.wire.grants_recv > 0,
-        "credit grants must ride the wire as explicit frames: {:?}",
-        windowed.wire
-    );
-    println!(
-        "credit flow control crossed process boundaries: grants on the wire, \
-         failover duplicate-free."
-    );
-}
-
-/// Scratch directory for a durable-store run, clean at entry.
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("borealis-recover-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Parses a `last_recovery.marker`: `(snapshot id, recover µs, replayed)`.
-fn parse_marker(m: &str) -> (u64, u64, u64) {
-    let field = |k: &str| {
-        m.split(&format!("{k}="))
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0u64)
-    };
-    (field("snapshot"), field("recover_us"), field("replayed"))
-}
-
-/// Reads every node store's recovery marker under `root`.
-fn recovery_markers(root: &std::path::Path) -> Vec<String> {
-    let mut found = Vec::new();
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return found;
-    };
-    for e in entries.flatten() {
-        if let Ok(s) = std::fs::read_to_string(e.path().join("last_recovery.marker")) {
-            found.push(s.trim().to_string());
-        }
-    }
-    found
-}
-
-/// The durable-recovery section (`BENCH_PR9.json`): per-node durable
-/// stores (background checkpoint flusher + append-only input log), a
-/// durability-on throughput guard at the reference config, a worker
-/// process SIGKILLed mid-run and respawned to restart from disk, and a
-/// checkpoint-interval sweep quantifying the log-suffix length and
-/// recovery time a restart pays.
-fn recover_section(per_source_rate: f64, wall_secs: f64) {
-    let offered = per_source_rate * 3.0;
-    let wall_ms = (wall_secs * 1000.0) as u64;
-    println!(
-        "\ndurable recovery: K=4 chain, 250 ms background checkpoints + input log, \
-         {offered:.0} tuples/s offered, {wall_secs:.0}s per run\n"
-    );
-
-    // --- Durability-on reference throughput ------------------------------
-    // The CoW capture runs on the data path; serialization and fsync live
-    // on the flusher thread — throughput must hold the durability-off
-    // reference (29249 stable/s at the reference config).
-    let root = scratch_dir("reference");
-    let (mut builder, out) = sharded_chain_builder(&options(4, per_source_rate));
-    builder = builder.durability(&root, Duration::from_millis(250), true);
-    let sys = deploy_threads(builder.layout());
-    let started = std::time::Instant::now();
-    sys.run_for(std::time::Duration::from_secs_f64(wall_secs));
-    let elapsed = started.elapsed().as_secs_f64();
-    let (ref_stable, ref_dup) = sys.metrics.with(out, |m| (m.n_stable, m.dup_stable));
-    sys.shutdown();
-    let ref_throughput = ref_stable as f64 / elapsed;
-    println!(
-        "  durability on : {ref_throughput:.0} stable tuples/s ({ref_stable} stable, {ref_dup} dup)"
-    );
-    assert_eq!(ref_dup, 0, "durable clean run must not duplicate");
-    assert!(
-        ref_stable > 1_000,
-        "live traffic must flow with durability on ({ref_stable} stable)"
-    );
-    if per_source_rate >= 10_000.0 && wall_secs >= 8.0 {
-        assert!(
-            ref_throughput >= 29_249.0 * 0.85,
-            "durability must hold the reference throughput (29249 stable/s): \
-             got {ref_throughput:.0}"
-        );
-        println!("  durability holds the 29249 stable/s reference within 15%.");
-    }
-    let _ = std::fs::remove_dir_all(&root);
-
-    // --- Kill + respawn across OS processes ------------------------------
-    // Worker process 1 (one replica of every fragment) dies by SIGKILL at
-    // half-run and is respawned with `rejoin=true`: each of its nodes
-    // reloads its latest checkpoint, replays the bounded input-log
-    // suffix, re-dials the mesh, and rejoins DPC.
-    let root = scratch_dir("tcp");
-    let exe = std::env::current_exe().expect("own executable path");
-    let child = ChildCommand {
-        program: exe.to_string_lossy().into_owned(),
-        prefix: vec!["__tcp_child".into()],
-    };
-    let spec = TcpChainSpec {
-        shards: 4,
-        per_source_rate,
-        wall_ms,
-        crash: false,
-        window: None,
-        procs: 3,
-        workers: 4,
-        seed: 7,
-        source_limit: None,
-        durable_dir: Some(root.to_string_lossy().into_owned()),
-        restart: Some((1, wall_ms / 2)),
-        ..TcpChainSpec::default()
-    };
-    let report = run_tcp_parent(&spec, &child).expect("tcp recover run");
-    println!(
-        "\nkill+respawn run (worker process 1 SIGKILLed at t={:.1}s, respawned): \
-         {:.0} stable/s, {} stable, {} tentative, {} dup, {} drops",
-        wall_ms as f64 / 2000.0,
-        report.throughput,
-        report.n_stable,
-        report.n_tentative,
-        report.dup,
-        report.drops
-    );
-    assert_eq!(
-        report.dup, 0,
-        "disk recovery must not duplicate stable tuples"
-    );
-    assert!(
-        report.n_stable > 1_000,
-        "stable output must keep flowing through the kill ({} stable)",
-        report.n_stable
-    );
-    assert!(
-        !report.recoveries.is_empty(),
-        "the respawned worker's nodes must restart from their durable stores"
-    );
-    for marker in &report.recoveries {
-        let (snap, us, replayed) = parse_marker(marker);
-        println!(
-            "  recovered node: snapshot #{snap}, {replayed} log records replayed, \
-             {:.1} ms to catch up",
-            us as f64 / 1000.0
-        );
-        assert!(
-            snap >= 1,
-            "a mid-run restart must find a checkpoint: {marker}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&root);
-
-    // --- Checkpoint-interval sweep ---------------------------------------
-    // The interval buys off recovery work: a restarted node replays only
-    // the input logged past its last snapshot, so the suffix length (and
-    // the catch-up time) scales with the interval, not the run length.
-    // The scripted restart kills work-shard 1's replica 0 at t=1.5s and
-    // respawns it 300 ms later (the in-process analogue of the kill run).
-    println!("\n  checkpoint | stable/s | post/pre rate | replayed | recover");
-    println!("  -----------+----------+---------------+----------+--------");
-    for interval_ms in [100u64, 250, 1000] {
-        let root = scratch_dir(&format!("sweep-{interval_ms}"));
-        let (mut builder, out) = sharded_chain_builder(&options(4, per_source_rate));
-        let metrics = MetricsHub::new();
-        metrics.enable_trace(out);
-        builder = builder
-            .metrics(metrics)
-            .durability(&root, Duration::from_millis(interval_ms), true)
-            .fault(FaultSpec::RestartReplica {
-                frag: 1,
-                shard: 1,
-                replica: 0,
-                after: Time::from_millis(1500),
-            });
-        let sys = deploy_threads(builder.layout());
-        let started = std::time::Instant::now();
-        sys.run_for(std::time::Duration::from_secs_f64(wall_secs));
-        let elapsed = started.elapsed().as_secs_f64();
-        let (n_stable, dup, trace) = sys
-            .metrics
-            .with(out, |m| (m.n_stable, m.dup_stable, m.trace.clone()));
-        sys.shutdown();
-        // Stable arrival rate in the second before the kill vs the second
-        // after the respawned replica is back: the post-recovery dip.
-        let rate_in = |from_ms: u64, to_ms: u64| {
-            trace
-                .as_ref()
-                .map(|t| {
-                    t.iter()
-                        .filter(|e| {
-                            e.kind == TupleKind::Insertion
-                                && e.arrival >= Time::from_millis(from_ms)
-                                && e.arrival < Time::from_millis(to_ms)
-                        })
-                        .count() as f64
-                        / ((to_ms - from_ms) as f64 / 1000.0)
-                })
-                .unwrap_or(0.0)
-        };
-        let pre = rate_in(500, 1500);
-        let post = rate_in(1800, 2800);
-        let markers = recovery_markers(&root);
-        let (_, us, replayed) = markers
-            .first()
-            .map(|m| parse_marker(m))
-            .unwrap_or((0, 0, 0));
-        println!(
-            "  {:>7} ms | {:>8.0} | {:>12.0}% | {:>8} | {:>4.1} ms",
-            interval_ms,
-            n_stable as f64 / elapsed,
-            100.0 * post / pre.max(1.0),
-            replayed,
-            us as f64 / 1000.0
-        );
-        assert_eq!(
-            dup, 0,
-            "interval {interval_ms} ms: duplicates after restart"
-        );
-        assert_eq!(
-            markers.len(),
-            1,
-            "interval {interval_ms} ms: exactly the restarted replica recovers: {markers:?}"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    println!(
-        "\nrestart cost tracks the checkpoint interval: the input log is truncated at \
-         every published snapshot, so catch-up replays a bounded suffix."
-    );
-}
-
-/// One saturation probe: the sharded chain with the modeled CPU dialed
-/// down to 1 µs/tuple, so the *real* data plane — shard routing, scheduler
-/// handoff, credit accounting, SUnion merge, client metrics — is the
-/// measured object rather than the synthetic cost model. Replication stays
-/// at 2, so every batch leaving a sharded producer fans out to 2K replica
-/// links.
-fn saturate_run(shards: u32, per_source_rate: f64, wall_secs: f64, crash: bool) -> RunResult {
-    let opts = ShardedChainOptions {
-        shards,
-        replication: 2,
-        total_rate: per_source_rate * 3.0,
-        per_node_delay: Duration::from_millis(500),
-        light_cost: Duration::from_micros(1),
-        work_cost: Duration::from_micros(1),
-        seed: 7,
-        ..Default::default()
-    };
-    let (mut builder, out) = sharded_chain_builder(&opts);
-    if crash {
-        // Kill one work-stage shard replica at 40% of the run: the knee
-        // must hold through checkpoint, failover, and reconciliation.
-        builder = builder.fault(FaultSpec::CrashReplica {
-            frag: 1,
-            shard: if shards > 1 { 1 } else { 0 },
-            replica: 0,
-            from: Time::from_millis((wall_secs * 400.0) as u64),
-            to: None,
-        });
-    }
-    let sys = deploy_threads(builder.layout());
-    let started = std::time::Instant::now();
-    sys.run_for(std::time::Duration::from_secs_f64(wall_secs));
-    let elapsed = started.elapsed().as_secs_f64();
-    let (n_stable, n_tentative, dup, max_gap, procnew) = sys.metrics.with(out, |m| {
-        (
-            m.n_stable,
-            m.n_tentative,
-            m.dup_stable,
-            m.max_gap,
-            m.procnew,
-        )
-    });
-    let flow = sys.flow_gauges();
-    let drops = sys.shutdown();
-    RunResult {
-        shards,
-        throughput: n_stable as f64 / elapsed,
-        n_stable,
-        n_tentative,
-        dup,
-        drops: drops.total_drops(),
-        max_gap,
-        procnew,
-        flow,
-    }
-}
-
-/// The highest sustained load found by the ramp, and what it measured.
-struct Knee {
-    /// Aggregate offered rate at the knee (tuples/s).
-    offered: f64,
-    /// Measured stable throughput there (the capacity figure).
-    stable_per_s: f64,
-    /// Probes spent locating it.
-    probes: u32,
-}
-
-/// Locates the capacity knee for one configuration: geometric ramp of the
-/// offered load until a run fails to sustain it, then two bisection steps
-/// to tighten the bracket. "Sustained" means duplicate-free stable output
-/// whose delivery efficiency (stable/offered) holds ≥95% (clean) / ≥90%
-/// (crash) of the efficiency measured at the floor rate — normalizing out
-/// the constant subscription-ramp and drain overhead at the run's edges.
-fn find_knee(shards: u32, wall_secs: f64, crash: bool) -> Knee {
-    let frac = if crash { 0.90 } else { 0.95 };
-    let mut probes = 0u32;
-    let mut one_run = |per_source: f64, floor_eff: f64| -> (bool, f64, f64) {
-        probes += 1;
-        let r = saturate_run(shards, per_source, wall_secs, crash);
-        let offered = per_source * 3.0;
-        let eff = r.throughput / offered;
-        let ok = r.dup == 0 && eff >= floor_eff * frac;
-        println!(
-            "    K={} {}: offered {:>7.0}/s -> stable {:>7.0}/s ({:>5.1}%){}",
-            shards,
-            if crash { "crash" } else { "clean" },
-            offered,
-            r.throughput,
-            100.0 * eff,
-            if ok { "" } else { "  <- miss" },
-        );
-        (ok, r.throughput, eff)
-    };
-    // A single marginally-below-threshold run is scheduling noise, not the
-    // knee: a failed probe only counts after a confirming re-run also fails.
-    let mut probe = |per_source: f64, floor_eff: f64| -> (bool, f64, f64) {
-        let first = one_run(per_source, floor_eff);
-        if first.0 || floor_eff == 0.0 {
-            return first;
-        }
-        one_run(per_source, floor_eff)
-    };
-
-    let mut lo = 4_000.0; // per-source floor: 12k/s aggregate
-    let (_, mut best, floor_eff) = probe(lo, 0.0);
-    assert!(
-        floor_eff > 0.70,
-        "K={shards} crash={crash}: the {:.0}/s floor must deliver most of the offered \
-         load ({:.0}% measured)",
-        lo * 3.0,
-        floor_eff * 100.0
-    );
-    let mut hi = None;
-    while hi.is_none() && lo < 700_000.0 {
-        let next = lo * 1.6;
-        let (ok, stable, _) = probe(next, floor_eff);
-        if ok {
-            lo = next;
-            best = stable;
-        } else {
-            hi = Some(next);
-        }
-    }
-    if let Some(mut hi) = hi {
-        for _ in 0..2 {
-            let mid = (lo + hi) / 2.0;
-            let (ok, stable, _) = probe(mid, floor_eff);
-            if ok {
-                lo = mid;
-                best = stable;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-    Knee {
-        offered: lo * 3.0,
-        stable_per_s: best,
-        probes,
-    }
-}
-
-/// The saturation capacity study (`BENCH_PR10.json`): ramp the offered
-/// load to locate the capacity knee — the highest duplicate-free sustained
-/// stable throughput — at K = 1/4/8 shards, clean and through a mid-run
-/// shard-replica crash. The knee, not the fixed 30k reference point, is
-/// the number the routing data plane actually moves.
-fn saturate_section(wall_secs: f64) {
-    let wall: f64 = std::env::var("SATURATE_WALL_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| wall_secs.min(2.0));
-    println!(
-        "\nsaturation capacity: offered-load ramp to the knee, modeled CPU at 1 µs/tuple \
-         (the real data plane is the measured object), replication 2, {wall:.1}s per probe\n"
-    );
-    // `SATURATE_FIXED_RATE` bypasses the knee search: one probe at the
-    // given per-source rate, reporting delivered stable throughput. This is
-    // the low-variance head-to-head mode for A/B capacity comparisons.
-    if let Some(per_source) = std::env::var("SATURATE_FIXED_RATE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let shards: u32 = std::env::var("SATURATE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4);
-        let crash = std::env::var("SATURATE_CRASH").is_ok_and(|v| v == "1");
-        let r = saturate_run(shards, per_source, wall, crash);
-        println!(
-            "fixed probe K={} crash={}: offered {:.0}/s -> stable {:.0}/s (dup {})",
-            shards,
-            crash,
-            per_source * 3.0,
-            r.throughput,
-            r.dup
-        );
-        return;
-    }
-    // `SATURATE_SHARDS` restricts the sweep (comma-separated K list) so CI
-    // and A/B comparisons can probe a single configuration quickly.
-    let ks: Vec<u32> = std::env::var("SATURATE_SHARDS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|ks: &Vec<u32>| !ks.is_empty())
-        .unwrap_or_else(|| vec![1, 4, 8]);
-    let crash_too = std::env::var("SATURATE_CRASH").map_or(true, |v| v != "0");
-    let mut rows = Vec::new();
-    for &k in &ks {
-        let clean = find_knee(k, wall, false);
-        let crash = crash_too.then(|| find_knee(k, wall.max(2.0), true));
-        rows.push((k, clean, crash));
-    }
-    println!("\n  K | clean knee offered | clean stable/s | crash knee offered | crash stable/s");
-    println!("  --+--------------------+----------------+--------------------+---------------");
-    for (k, clean, crash) in &rows {
-        let (co, cs) = crash
-            .as_ref()
-            .map_or((0.0, 0.0), |c| (c.offered, c.stable_per_s));
-        println!(
-            "  {} | {:>18.0} | {:>14.0} | {:>18.0} | {:>13.0}",
-            k, clean.offered, clean.stable_per_s, co, cs
-        );
-    }
-    let probes: u32 = rows
-        .iter()
-        .map(|(_, a, b)| a.probes + b.as_ref().map_or(0, |c| c.probes))
-        .sum();
-    let headline = rows.iter().find(|(k, ..)| *k == 4).unwrap_or(&rows[0]);
-    println!(
-        "\nsaturation_stable_tuples_per_s (K={} clean knee): {:.0}  ({} probes total)",
-        headline.0, headline.1.stable_per_s, probes
-    );
-    for (k, clean, crash) in &rows {
-        assert!(
-            clean.stable_per_s > 10_000.0,
-            "K={k}: the clean knee must clear 10k stable/s ({:.0})",
-            clean.stable_per_s
-        );
-        if let Some(crash) = crash {
-            assert!(
-                crash.stable_per_s > clean.stable_per_s * 0.35,
-                "K={k}: capacity must survive the mid-run crash ({:.0} vs clean {:.0})",
-                crash.stable_per_s,
-                clean.stable_per_s
-            );
-        }
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Forked worker process of the tcp section: argv carries the sentinel,
-    // `proc=<i>`, and the serialized spec (including the full address map).
-    if args.first().is_some_and(|a| a == "__tcp_child") {
-        run_tcp_child_args(args.iter().skip(1).map(|s| s.as_str())).expect("tcp worker process");
-        return;
-    }
-    let mode = args.first().cloned().unwrap_or_default();
-    let per_source_rate: f64 = std::env::var("REALTIME_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000.0);
-    let wall_secs: f64 = std::env::var("REALTIME_WALL_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
-
-    match mode.as_str() {
-        "clean" => clean_section(per_source_rate, wall_secs),
-        "overload" => overload_section(per_source_rate, wall_secs),
-        "scale" => scale_section(per_source_rate, wall_secs),
-        "tcp" => tcp_section(per_source_rate, wall_secs),
-        "recover" => recover_section(per_source_rate, wall_secs),
-        "saturate" => saturate_section(wall_secs),
-        _ => {
-            clean_section(per_source_rate, wall_secs);
-            overload_section(per_source_rate, wall_secs);
-            scale_section(per_source_rate, wall_secs);
-            tcp_section(per_source_rate, wall_secs);
-            recover_section(per_source_rate, wall_secs);
-            saturate_section(wall_secs);
-        }
-    }
+    println!("stable tuples/s   : {:.0}", stable as f64 / elapsed);
+    println!("stable tuples     : {stable}");
+    println!("tentative tuples  : {tentative}");
+    println!("messages dropped  : {drops}");
+    println!("duplicate stable  : {dup}");
 }

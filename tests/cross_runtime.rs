@@ -11,11 +11,14 @@
 //! produces), the corrected stable stream must be identical tuple for
 //! tuple, in order, on both runtimes.
 
+mod common;
+
 use borealis::prelude::*;
 use borealis_workloads::{
     chain_builder, run_tcp_parent, sharded_chain_builder, ChainOptions, ChildCommand,
     ShardedChainOptions, TcpChainSpec, DISTRIBUTED_VARIANTS,
 };
+use common::{recovery_markers, scratch, serial};
 
 /// Reconstructs the stable output stream from a client arrival trace:
 /// stable insertions append, UNDOs roll the suffix back to their target.
@@ -35,17 +38,6 @@ fn stable_stream(trace: &[borealis::dpc::TraceEntry]) -> Vec<(u64, u64)> {
         }
     }
     v
-}
-
-/// Serializes the tests in this binary. Every test here deploys on the
-/// wall-clock thread engine (some additionally fork OS processes) and
-/// compares the result against the virtual-time simulator; running them
-/// concurrently oversubscribes the CPU far enough that keep-alives go
-/// stale spuriously and the runs diverge for scheduling reasons, not
-/// protocol ones.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Chain options tuned so a wall-clock run finishes in a few seconds.
@@ -661,30 +653,6 @@ fn stable_stream_invariant_across_worker_counts() {
             "workers={workers}: stable stream diverged from the simulator"
         );
     }
-}
-
-/// Scratch directory for a durable-store test, clean at entry.
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "borealis-cross-durable-{}-{name}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Reads every node store's `last_recovery.marker` under `root`.
-fn recovery_markers(root: &std::path::Path) -> Vec<String> {
-    let mut found = Vec::new();
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return found;
-    };
-    for e in entries.flatten() {
-        if let Ok(s) = std::fs::read_to_string(e.path().join("last_recovery.marker")) {
-            found.push(s.trim().to_string());
-        }
-    }
-    found
 }
 
 /// Crash-then-restart with durable stores, sim vs threads: the replica the
