@@ -11,31 +11,11 @@
 
 use crate::metrics::{MetricsHub, StreamRecorder};
 use crate::msg::NetMsg;
+use crate::node::{stale_timeout, ACK_PERIOD};
 use crate::runtime::{Actor, RuntimeCtx};
 use crate::upstream::{UpstreamAction, UpstreamManager};
 use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId, StreamId, Tuple};
-
-/// Tuning knobs for a client proxy.
-#[derive(Debug, Clone)]
-pub struct ClientTuning {
-    /// Keep-alive period.
-    pub heartbeat_period: Duration,
-    /// Silence after which a producing replica is considered Failed.
-    pub stale_timeout: Duration,
-    /// Cumulative-ack period.
-    pub ack_period: Duration,
-}
-
-impl Default for ClientTuning {
-    fn default() -> Self {
-        ClientTuning {
-            heartbeat_period: Duration::from_millis(100),
-            stale_timeout: Duration::from_millis(250),
-            ack_period: Duration::from_secs(1),
-        }
-    }
-}
 
 /// One watched stream: the stream and the replicas producing it.
 #[derive(Debug, Clone)]
@@ -52,7 +32,8 @@ const TIMER_ACK: u64 = 2;
 /// The client-proxy actor.
 pub struct ClientProxy {
     streams: Vec<ClientStream>,
-    tuning: ClientTuning,
+    /// Keep-alive period (the deployment's node keep-alive).
+    heartbeat_period: Duration,
     metrics: MetricsHub,
     ums: Vec<UpstreamManager>,
     /// Per-watched-stream metric shards, parallel to `ums` — resolved once
@@ -62,11 +43,16 @@ pub struct ClientProxy {
 }
 
 impl ClientProxy {
-    /// Creates a proxy consuming `streams`, recording into `metrics`.
-    pub fn new(streams: Vec<ClientStream>, tuning: ClientTuning, metrics: MetricsHub) -> Self {
+    /// Creates a proxy consuming `streams` with keep-alive period
+    /// `heartbeat_period`, recording into `metrics`.
+    pub fn new(
+        streams: Vec<ClientStream>,
+        heartbeat_period: Duration,
+        metrics: MetricsHub,
+    ) -> Self {
         ClientProxy {
             streams,
-            tuning,
+            heartbeat_period,
             metrics,
             ums: Vec::new(),
             recorders: Vec::new(),
@@ -118,8 +104,8 @@ impl Actor<NetMsg> for ClientProxy {
             self.recorders.push(self.metrics.recorder(cs.stream));
             self.apply_actions(ctx, cs.stream, actions);
         }
-        ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
-        ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
+        ctx.set_timer(now + self.heartbeat_period, TIMER_HEARTBEAT);
+        ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
     }
 
     /// Handles one protocol message.
@@ -155,7 +141,7 @@ impl Actor<NetMsg> for ClientProxy {
                 stream_states,
             } => {
                 let now = ctx.now();
-                let stale = self.tuning.stale_timeout;
+                let stale = stale_timeout(self.heartbeat_period);
                 for i in 0..self.ums.len() {
                     self.ums[i].heartbeat_response(from, node_state, &stream_states, now);
                     let actions = self.ums[i].evaluate(now, stale);
@@ -172,7 +158,7 @@ impl Actor<NetMsg> for ClientProxy {
         let now = ctx.now();
         match kind {
             TIMER_HEARTBEAT => {
-                let stale = self.tuning.stale_timeout;
+                let stale = stale_timeout(self.heartbeat_period);
                 for i in 0..self.ums.len() {
                     let actions = self.ums[i].evaluate(now, stale);
                     let stream = self.ums[i].stream();
@@ -181,7 +167,7 @@ impl Actor<NetMsg> for ClientProxy {
                         ctx.send(target, NetMsg::HeartbeatReq);
                     }
                 }
-                ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
+                ctx.set_timer(now + self.heartbeat_period, TIMER_HEARTBEAT);
             }
             TIMER_ACK => {
                 for um in &self.ums {
@@ -196,7 +182,7 @@ impl Actor<NetMsg> for ClientProxy {
                         );
                     }
                 }
-                ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
+                ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
             }
             _ => {}
         }

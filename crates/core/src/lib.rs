@@ -44,7 +44,7 @@ pub mod system;
 pub mod upstream;
 
 pub use buffers::{BufferPolicy, OutputBuffer};
-pub use client::{ClientProxy, ClientStream, ClientTuning};
+pub use client::{ClientProxy, ClientStream};
 pub use codec::{decode_frame, decode_payload, encode_frame, WireMsg};
 pub use durable::{DurabilityConfig, NodeDisk, RecoveredImage};
 pub use metrics::{MetricsHub, StreamMetrics, StreamRecorder, TraceEntry};
@@ -76,7 +76,7 @@ mod tests {
             ..DpcConfig::default()
         };
         let p = plan_deployment(&d, &DeploymentSpec::single(replication), &cfg).unwrap();
-        let sys = SystemBuilder::new(7, Duration::from_millis(1))
+        let sys = SystemBuilder::new(7)
             .source(SourceConfig::seq(s1.id(), 100.0))
             .source(SourceConfig::seq(s2.id(), 100.0))
             .source(SourceConfig::seq(s3.id(), 100.0))

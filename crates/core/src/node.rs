@@ -46,20 +46,11 @@ pub struct UpstreamSpec {
 pub struct NodeTuning {
     /// CPU service time per processed data tuple.
     pub per_tuple_cost: Duration,
-    /// Keep-alive period (100 ms in the paper's §5.1).
+    /// Keep-alive period (100 ms in the paper's §5.1), shared by the nodes
+    /// and the client proxy.
     pub heartbeat_period: Duration,
-    /// Silence after which an upstream replica is considered Failed.
-    pub stale_timeout: Duration,
-    /// Cumulative-ack period for buffer truncation.
-    pub ack_period: Duration,
     /// Output buffer policy (§8.1).
     pub buffer_policy: BufferPolicy,
-    /// Tuples per Data message when draining large output windows.
-    pub dispatch_chunk: usize,
-    /// How long a stabilization grant to a replica remains binding.
-    pub grant_timeout: Duration,
-    /// Wait before retrying a rejected stabilization request.
-    pub retry_wait: Duration,
 }
 
 impl Default for NodeTuning {
@@ -67,15 +58,32 @@ impl Default for NodeTuning {
         NodeTuning {
             per_tuple_cost: Duration::from_micros(60),
             heartbeat_period: Duration::from_millis(100),
-            stale_timeout: Duration::from_millis(250),
-            ack_period: Duration::from_secs(1),
             buffer_policy: BufferPolicy::Unbounded,
-            dispatch_chunk: 500,
-            grant_timeout: Duration::from_secs(120),
-            retry_wait: Duration::from_millis(100),
         }
     }
 }
+
+impl NodeTuning {
+    /// Silence after which an upstream replica is considered Failed:
+    /// 2.5 keep-alive periods (250 ms at the paper's 100 ms, §5.1).
+    pub fn stale_timeout(&self) -> Duration {
+        stale_timeout(self.heartbeat_period)
+    }
+}
+
+/// The stale timeout of a keep-alive period: 2.5 periods.
+pub(crate) fn stale_timeout(heartbeat_period: Duration) -> Duration {
+    Duration::from_micros(heartbeat_period.as_micros() * 5 / 2)
+}
+
+/// Cumulative-ack period for buffer truncation (nodes and client proxy).
+pub(crate) const ACK_PERIOD: Duration = Duration::from_secs(1);
+/// Tuples per Data message when draining large output windows.
+const DISPATCH_CHUNK: usize = 500;
+/// How long a stabilization grant to a replica remains binding.
+const GRANT_TIMEOUT: Duration = Duration::from_secs(120);
+/// Wait before retrying a rejected stabilization request.
+const RETRY_WAIT: Duration = Duration::from_millis(100);
 
 /// Full configuration of one node replica.
 pub struct NodeConfig {
@@ -229,7 +237,7 @@ impl ProcessingNode {
     /// reference-count bumps per batch — fan-out is independent of
     /// replication degree.
     fn flush_subscribers(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, w_start: Time, w_end: Time) {
-        let chunk = self.cfg.tuning.dispatch_chunk.max(1);
+        let chunk = DISPATCH_CHUNK;
         for (&stream, subs) in &mut self.subscribers {
             let Some(buf) = self.out.get(&stream) else {
                 continue;
@@ -312,10 +320,7 @@ impl ProcessingNode {
         let target = reachable[ctx.rand_range(reachable.len() as u64) as usize];
         self.pending_request = Some(target);
         ctx.send(target, NetMsg::ReconcileRequest);
-        ctx.set_timer(
-            ctx.now() + self.cfg.tuning.retry_wait.saturating_mul(5),
-            TIMER_RETRY,
-        );
+        ctx.set_timer(ctx.now() + RETRY_WAIT.saturating_mul(5), TIMER_RETRY);
     }
 
     fn do_reconcile(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
@@ -427,7 +432,7 @@ impl Actor<NetMsg> for ProcessingNode {
             self.apply_actions(ctx, stream, actions);
         }
         ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
-        ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
+        ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
     }
 
     /// Handles one protocol message.
@@ -559,7 +564,7 @@ impl Actor<NetMsg> for ProcessingNode {
                 stream_states,
             } => {
                 let now = ctx.now();
-                let stale = self.cfg.tuning.stale_timeout;
+                let stale = self.cfg.tuning.stale_timeout();
                 for i in 0..self.ums.len() {
                     self.ums[i].heartbeat_response(from, node_state, &stream_states, now);
                     let actions = self.ums[i].evaluate(now, stale);
@@ -575,10 +580,7 @@ impl Actor<NetMsg> for ProcessingNode {
                     ctx.send(from, NetMsg::ReconcileReject);
                 } else {
                     self.granted_to.push((from, ctx.now()));
-                    ctx.set_timer(
-                        ctx.now() + self.cfg.tuning.grant_timeout,
-                        TIMER_GRANT_TIMEOUT,
-                    );
+                    ctx.set_timer(ctx.now() + GRANT_TIMEOUT, TIMER_GRANT_TIMEOUT);
                     ctx.send(from, NetMsg::ReconcileGrant);
                 }
             }
@@ -597,7 +599,7 @@ impl Actor<NetMsg> for ProcessingNode {
             NetMsg::ReconcileReject => {
                 if self.pending_request == Some(from) {
                     self.pending_request = None;
-                    ctx.set_timer(ctx.now() + self.cfg.tuning.retry_wait, TIMER_RETRY);
+                    ctx.set_timer(ctx.now() + RETRY_WAIT, TIMER_RETRY);
                 }
             }
             NetMsg::ReconcileDone => {
@@ -618,7 +620,7 @@ impl Actor<NetMsg> for ProcessingNode {
                 self.post_event(ctx);
             }
             TIMER_HEARTBEAT => {
-                let stale = self.cfg.tuning.stale_timeout;
+                let stale = self.cfg.tuning.stale_timeout();
                 for i in 0..self.ums.len() {
                     let actions = self.ums[i].evaluate(now, stale);
                     let stream = self.ums[i].stream();
@@ -632,7 +634,7 @@ impl Actor<NetMsg> for ProcessingNode {
                 // — the partner cannot be mid-stabilization relying on us
                 // if it cannot even talk to us. Drop such grants so this
                 // replica stays free to reconcile its own state; the
-                // grant_timeout remains the backstop for in-flight races.
+                // grant timeout remains the backstop for in-flight races.
                 let before = self.granted_to.len();
                 self.granted_to.retain(|(n, _)| ctx.reachable(*n));
                 if self.granted_to.len() < before {
@@ -670,7 +672,7 @@ impl Actor<NetMsg> for ProcessingNode {
                         );
                     }
                 }
-                ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
+                ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
             }
             TIMER_RETRY => {
                 self.pending_request = None;
@@ -726,7 +728,7 @@ impl Actor<NetMsg> for ProcessingNode {
                 }
             }
             TIMER_GRANT_TIMEOUT => {
-                let timeout = self.cfg.tuning.grant_timeout;
+                let timeout = GRANT_TIMEOUT;
                 self.granted_to.retain(|(_, t)| now.since(*t) < timeout);
                 self.check_reconcile(ctx);
             }

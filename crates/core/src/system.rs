@@ -17,12 +17,13 @@
 //!    [`FaultEvent`]s.
 //! 3. A launcher turns the layout into a running system:
 //!    [`SystemLayout::deploy_sim`] (or the [`SystemBuilder::build`]
-//!    shorthand) under the deterministic simulator, and
-//!    `borealis_runtime::deploy_threads` under the real-time thread
-//!    engine. Both deploy the *same* actor objects — the protocol code
-//!    never knows which runtime drives it.
+//!    shorthand) under the deterministic simulator, whose links all take
+//!    `borealis_sim::LINK_LATENCY`; `borealis_runtime::deploy_threads` on
+//!    the real-time worker pool; and `borealis_runtime::deploy_tcp` for one
+//!    process of a multi-process deployment. All deploy the *same* actor
+//!    objects — the protocol code never knows which runtime drives it.
 
-use crate::client::{ClientProxy, ClientStream, ClientTuning};
+use crate::client::{ClientProxy, ClientStream};
 use crate::durable::DurabilityConfig;
 use crate::metrics::MetricsHub;
 use crate::msg::NetMsg;
@@ -105,11 +106,9 @@ pub const RESTART_DELAY: Duration = Duration::from_millis(300);
 /// the data sources, the watched client streams, and a [`FaultSpec`] list.
 pub struct SystemBuilder {
     seed: u64,
-    latency: Duration,
     sources: Vec<SourceConfig>,
     plan: Option<PhysicalPlan>,
     node_tuning: NodeTuning,
-    client_tuning: ClientTuning,
     client_streams: Vec<StreamId>,
     metrics: MetricsHub,
     faults: Vec<FaultSpec>,
@@ -119,17 +118,13 @@ pub struct SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Starts a builder with the given determinism seed and link latency
-    /// (the latency applies to the simulator; the thread engine runs at
-    /// native channel latency).
-    pub fn new(seed: u64, latency: Duration) -> SystemBuilder {
+    /// Starts a builder with the given determinism seed.
+    pub fn new(seed: u64) -> SystemBuilder {
         SystemBuilder {
             seed,
-            latency,
             sources: Vec::new(),
             plan: None,
             node_tuning: NodeTuning::default(),
-            client_tuning: ClientTuning::default(),
             client_streams: Vec::new(),
             metrics: MetricsHub::new(),
             faults: Vec::new(),
@@ -183,15 +178,10 @@ impl SystemBuilder {
     }
 
     /// Node tuning knobs (deployment-wide defaults; a fragment's
-    /// `work_cost` override takes precedence for its replicas).
+    /// `work_cost` override takes precedence for its replicas). The client
+    /// proxy shares the nodes' keep-alive period.
     pub fn node_tuning(mut self, t: NodeTuning) -> Self {
         self.node_tuning = t;
-        self
-    }
-
-    /// Client tuning knobs.
-    pub fn client_tuning(mut self, t: ClientTuning) -> Self {
-        self.client_tuning = t;
         self
     }
 
@@ -386,14 +376,13 @@ impl SystemBuilder {
             debug_assert_eq!(actors.len(), client_id.index(), "id layout mismatch");
             actors.push(ActorSpec::Client {
                 streams,
-                tuning: self.client_tuning.clone(),
+                heartbeat_period: self.node_tuning.heartbeat_period,
             });
             Some(client_id)
         };
 
         let mut layout = SystemLayout {
             seed: self.seed,
-            latency: self.latency,
             metrics: self.metrics,
             actors,
             source_ids,
@@ -406,7 +395,13 @@ impl SystemBuilder {
             workers: self.workers,
         };
         for f in &self.faults {
-            layout.lower_fault(f);
+            let events = lower_fault(
+                f,
+                &layout.source_ids,
+                &layout.fragment_replicas,
+                &layout.groups,
+            );
+            layout.script.extend(events);
         }
         layout.script.sort_by_key(|(at, _)| *at);
         layout
@@ -432,8 +427,8 @@ pub enum ActorSpec {
     Client {
         /// Watched output streams with their producing replicas.
         streams: Vec<ClientStream>,
-        /// Client tuning knobs.
-        tuning: ClientTuning,
+        /// Keep-alive period (the nodes' `heartbeat_period`).
+        heartbeat_period: Duration,
     },
 }
 
@@ -444,23 +439,22 @@ impl ActorSpec {
         match self {
             ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
             ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
-            ActorSpec::Client { streams, tuning } => {
-                Box::new(ClientProxy::new(streams, tuning, metrics.clone()))
-            }
+            ActorSpec::Client {
+                streams,
+                heartbeat_period,
+            } => Box::new(ClientProxy::new(streams, heartbeat_period, metrics.clone())),
         }
     }
 }
 
 /// A resolved, runtime-independent deployment: actor configurations in
 /// deterministic id order, topology lookup tables, and the fault script
-/// lowered to concrete events. Feed it to [`SystemLayout::deploy_sim`] or
-/// to `borealis_runtime::deploy_threads`.
+/// lowered to concrete events. Feed it to [`SystemLayout::deploy_sim`],
+/// `borealis_runtime::deploy_threads` or `borealis_runtime::deploy_tcp`.
 pub struct SystemLayout {
     /// Determinism seed (simulator RNG; ignored by the thread engine except
     /// for per-actor RNG seeding).
     pub seed: u64,
-    /// Link latency (simulated; the thread engine runs at native latency).
-    pub latency: Duration,
     /// Metrics hub shared with the client proxy.
     pub metrics: MetricsHub,
     /// Actor configurations; index `i` is actor `NodeId(i)`.
@@ -501,79 +495,12 @@ impl SystemLayout {
     /// # Panics
     /// Panics if no source produces `stream` (an experiment-script bug).
     pub fn source_of(&self, stream: StreamId) -> NodeId {
-        self.source_ids
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, id)| *id)
-            .unwrap_or_else(|| panic!("no source for {stream}"))
-    }
-
-    /// Lowers one topology-level fault into concrete events.
-    fn lower_fault(&mut self, f: &FaultSpec) {
-        match *f {
-            FaultSpec::DisconnectSource {
-                stream,
-                frag,
-                from,
-                to,
-            } => {
-                let src = self.source_of(stream);
-                for &fi in &self.groups[frag] {
-                    for &node in &self.fragment_replicas[fi] {
-                        self.script
-                            .push((from, FaultEvent::LinkDown { a: src, b: node }));
-                        self.script
-                            .push((to, FaultEvent::LinkUp { a: src, b: node }));
-                    }
-                }
-            }
-            FaultSpec::MuteBoundaries { stream, from, to } => {
-                let src = self.source_of(stream);
-                self.script.push((
-                    from,
-                    FaultEvent::Custom {
-                        target: src,
-                        tag: DataSource::MUTE_BOUNDARIES,
-                    },
-                ));
-                self.script.push((
-                    to,
-                    FaultEvent::Custom {
-                        target: src,
-                        tag: DataSource::UNMUTE_BOUNDARIES,
-                    },
-                ));
-            }
-            FaultSpec::CrashReplica {
-                frag,
-                shard,
-                replica,
-                from,
-                to,
-            } => {
-                let node = self.shard_replicas(frag, shard)[replica];
-                self.script.push((from, FaultEvent::NodeDown(node)));
-                if let Some(to) = to {
-                    self.script.push((to, FaultEvent::NodeUp(node)));
-                }
-            }
-            FaultSpec::RestartReplica {
-                frag,
-                shard,
-                replica,
-                after,
-            } => {
-                let node = self.shard_replicas(frag, shard)[replica];
-                self.script.push((after, FaultEvent::NodeDown(node)));
-                self.script
-                    .push((after + RESTART_DELAY, FaultEvent::NodeUp(node)));
-            }
-        }
+        source_of(&self.source_ids, stream)
     }
 
     /// Launches the layout under the deterministic simulator.
     pub fn deploy_sim(self) -> RunningSystem {
-        let mut net = Network::new(self.latency);
+        let mut net = Network::new();
         for (node, spec) in self.partitions {
             net.set_partition(node, spec);
         }
@@ -621,11 +548,15 @@ impl RunningSystem {
     /// # Panics
     /// Panics if no source produces `stream` (an experiment-script bug).
     pub fn source_of(&self, stream: StreamId) -> NodeId {
-        self.source_ids
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, id)| *id)
-            .unwrap_or_else(|| panic!("no source for {stream}"))
+        source_of(&self.source_ids, stream)
+    }
+
+    /// Schedules one topology-level fault into the running simulation.
+    fn schedule(&mut self, f: FaultSpec) {
+        let events = lower_fault(&f, &self.source_ids, &self.fragment_replicas, &self.groups);
+        for (at, event) in events {
+            self.sim.schedule_fault(at, event);
+        }
     }
 
     /// Disconnects `stream`'s source from every replica of every shard of
@@ -633,36 +564,19 @@ impl RunningSystem {
     /// failure: "temporarily disconnecting one of the input streams
     /// without stopping the data source".
     pub fn disconnect_source(&mut self, stream: StreamId, frag: usize, from: Time, to: Time) {
-        let src = self.source_of(stream);
-        for fi in self.groups[frag].clone() {
-            for &node in self.fragment_replicas[fi].clone().iter() {
-                self.sim
-                    .schedule_fault(from, FaultEvent::LinkDown { a: src, b: node });
-                self.sim
-                    .schedule_fault(to, FaultEvent::LinkUp { a: src, b: node });
-            }
-        }
+        self.schedule(FaultSpec::DisconnectSource {
+            stream,
+            frag,
+            from,
+            to,
+        });
     }
 
     /// Mutes only the boundary tuples of `stream`'s source between `from`
     /// and `to` — the §6.2 failure used in the chain experiments (data keeps
     /// flowing, so the output rate is unchanged).
     pub fn mute_boundaries(&mut self, stream: StreamId, from: Time, to: Time) {
-        let src = self.source_of(stream);
-        self.sim.schedule_fault(
-            from,
-            FaultEvent::Custom {
-                target: src,
-                tag: DataSource::MUTE_BOUNDARIES,
-            },
-        );
-        self.sim.schedule_fault(
-            to,
-            FaultEvent::Custom {
-                target: src,
-                tag: DataSource::UNMUTE_BOUNDARIES,
-            },
-        );
+        self.schedule(FaultSpec::MuteBoundaries { stream, from, to });
     }
 
     /// Crashes one replica of (shard 0 of) logical fragment `frag` between
@@ -681,23 +595,114 @@ impl RunningSystem {
         from: Time,
         to: Option<Time>,
     ) {
-        let node = self.fragment_replicas[self.groups[frag][shard]][replica];
-        self.sim.schedule_fault(from, FaultEvent::NodeDown(node));
-        if let Some(to) = to {
-            self.sim.schedule_fault(to, FaultEvent::NodeUp(node));
-        }
+        self.schedule(FaultSpec::CrashReplica {
+            frag,
+            shard,
+            replica,
+            from,
+            to,
+        });
     }
 
-    /// Runs the simulation to `until`, then refreshes the metrics hub's
-    /// transport gauges.
+    /// Runs the simulation to `until`.
     pub fn run_until(&mut self, until: Time) {
         self.sim.run_until(until);
-        self.metrics.record_flow(self.sim.flow_gauges());
     }
 
     /// Queue-depth and stall-time gauges of the transport's credit ledger.
     pub fn flow_gauges(&self) -> FlowGauges {
         self.sim.flow_gauges()
+    }
+}
+
+/// The actor id of the source producing `stream`.
+///
+/// # Panics
+/// Panics if no source produces `stream` (an experiment-script bug).
+fn source_of(source_ids: &[(StreamId, NodeId)], stream: StreamId) -> NodeId {
+    source_ids
+        .iter()
+        .find(|(s, _)| *s == stream)
+        .map(|(_, id)| *id)
+        .unwrap_or_else(|| panic!("no source for {stream}"))
+}
+
+/// Lowers one topology-level fault into concrete events, in scheduling
+/// order (events sharing a time keep this order).
+///
+/// # Panics
+/// Panics if the fault names a missing source, fragment, shard, or
+/// replica (an experiment-script bug).
+fn lower_fault(
+    f: &FaultSpec,
+    source_ids: &[(StreamId, NodeId)],
+    fragment_replicas: &[Vec<NodeId>],
+    groups: &[Vec<usize>],
+) -> Vec<(Time, FaultEvent)> {
+    let node_of =
+        |frag: usize, shard: usize, replica: usize| fragment_replicas[groups[frag][shard]][replica];
+    match *f {
+        FaultSpec::DisconnectSource {
+            stream,
+            frag,
+            from,
+            to,
+        } => {
+            let src = source_of(source_ids, stream);
+            groups[frag]
+                .iter()
+                .flat_map(|&fi| &fragment_replicas[fi])
+                .flat_map(|&node| {
+                    [
+                        (from, FaultEvent::LinkDown { a: src, b: node }),
+                        (to, FaultEvent::LinkUp { a: src, b: node }),
+                    ]
+                })
+                .collect()
+        }
+        FaultSpec::MuteBoundaries { stream, from, to } => {
+            let target = source_of(source_ids, stream);
+            vec![
+                (
+                    from,
+                    FaultEvent::Custom {
+                        target,
+                        tag: DataSource::MUTE_BOUNDARIES,
+                    },
+                ),
+                (
+                    to,
+                    FaultEvent::Custom {
+                        target,
+                        tag: DataSource::UNMUTE_BOUNDARIES,
+                    },
+                ),
+            ]
+        }
+        FaultSpec::CrashReplica {
+            frag,
+            shard,
+            replica,
+            from,
+            to,
+        } => {
+            let node = node_of(frag, shard, replica);
+            let mut events = vec![(from, FaultEvent::NodeDown(node))];
+            events.extend(to.map(|to| (to, FaultEvent::NodeUp(node))));
+            events
+        }
+        FaultSpec::RestartReplica {
+            frag,
+            shard,
+            replica,
+            after,
+        } => {
+            let node = node_of(frag, shard, replica);
+            vec![
+                (after, FaultEvent::NodeDown(node)),
+                (after + RESTART_DELAY, FaultEvent::NodeUp(node)),
+            ]
+        }
     }
 }
 
@@ -721,7 +726,7 @@ mod tests {
             ..DpcConfig::default()
         };
         let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-        SystemBuilder::new(1, Duration::from_millis(1))
+        SystemBuilder::new(1)
             .source(SourceConfig::seq(s1.id(), 100.0))
             .source(SourceConfig::seq(s2.id(), 100.0))
             .plan(p)
@@ -800,7 +805,7 @@ mod tests {
             ..DpcConfig::default()
         };
         let p = plan_deployment(&d, &spec, &cfg).unwrap();
-        SystemBuilder::new(5, Duration::from_millis(1))
+        SystemBuilder::new(5)
             .source(SourceConfig::seq(s1.id(), 150.0))
             .source(SourceConfig::seq(s2.id(), 150.0))
             .plan(p)
@@ -840,26 +845,25 @@ mod tests {
     /// and a source disconnect hits every shard's replicas.
     #[test]
     fn shard_faults_lower_to_physical_nodes() {
-        let mut l = sharded_layout(2, 2);
-        l.lower_fault(&FaultSpec::CrashReplica {
+        let l = sharded_layout(2, 2);
+        let lower = |f: FaultSpec| lower_fault(&f, &l.source_ids, &l.fragment_replicas, &l.groups);
+        let crash = lower(FaultSpec::CrashReplica {
             frag: 1,
             shard: 1,
             replica: 0,
             from: Time::from_secs(1),
             to: None,
         });
-        assert!(l
-            .script
+        assert!(crash
             .iter()
             .any(|(_, f)| *f == FaultEvent::NodeDown(NodeId(6))));
-        l.lower_fault(&FaultSpec::DisconnectSource {
+        let disconnect = lower(FaultSpec::DisconnectSource {
             stream: StreamId(0),
             frag: 1,
             from: Time::from_secs(2),
             to: Time::from_secs(3),
         });
-        let downs = l
-            .script
+        let downs = disconnect
             .iter()
             .filter(|(_, f)| matches!(f, FaultEvent::LinkDown { .. }))
             .count();
@@ -901,7 +905,7 @@ mod tests {
             )
             .fragment(FragmentSpec::named("back").op("back"));
         let p = plan_deployment(&d, &spec, &DpcConfig::default()).unwrap();
-        let l = SystemBuilder::new(1, Duration::from_millis(1))
+        let l = SystemBuilder::new(1)
             .source(SourceConfig::seq(s1.id(), 50.0))
             .plan(p)
             .client_streams(vec![b.id()])
@@ -936,7 +940,7 @@ mod tests {
             ..DpcConfig::default()
         };
         let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-        let mut sys = SystemBuilder::new(9, Duration::from_millis(1))
+        let mut sys = SystemBuilder::new(9)
             .source(SourceConfig::seq(s1.id(), 200.0))
             .plan(p)
             .client_streams(vec![u.id()])
@@ -951,7 +955,6 @@ mod tests {
         });
         let g = sys.flow_gauges();
         assert!(g.delivered > 0, "data messages were metered: {g:?}");
-        assert_eq!(sys.metrics.flow_gauges(), g, "hub mirrors the gauges");
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn merge_system(durable_root: Option<&Path>, faults: Vec<FaultSpec>) -> (SystemB
         ..DpcConfig::default()
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-    let mut builder = SystemBuilder::new(11, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(11)
         .source(SourceConfig::seq(s1.id(), 100.0))
         .source(SourceConfig::seq(s2.id(), 100.0))
         .plan(p)

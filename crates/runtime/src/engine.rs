@@ -1018,7 +1018,7 @@ mod tests {
 
         let sim_log = Arc::new(Mutex::new(Vec::new()));
         let mut sim: borealis_sim::Sim<NetMsg> =
-            borealis_sim::Sim::new(1, borealis_sim::Network::new(Duration::from_millis(1)));
+            borealis_sim::Sim::new(1, borealis_sim::Network::new());
         for probe in probes(&sim_log) {
             sim.add_actor(probe);
         }

@@ -20,8 +20,10 @@
 //!   and heals in wall-clock time;
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
-//!   `deploy_sim` consumes — so one deployment description serves both
-//!   runtimes; the layout's `workers` field sizes the pool.
+//!   `deploy_sim` consumes — so one deployment description serves every
+//!   runtime; the layout's `workers` field sizes the pool. [`deploy_tcp`]
+//!   launches one process's share of it over a socket fabric, and both
+//!   return the same [`RunningThreads`] handle.
 //!
 //! The protocol code itself lives in `borealis-dpc` and is runtime-unaware
 //! (see `borealis_dpc::runtime`): the pool drives the same boxed
@@ -59,64 +61,80 @@ pub use clock::MonotonicClock;
 pub use engine::ThreadRuntime;
 pub use links::{LinkTable, RuntimeStats, StatsSnapshot};
 #[cfg(not(borealis_model))]
-pub use tcp::{deploy_tcp, plan_processes, RunningTcp, TcpFabric};
+pub use tcp::{plan_processes, TcpFabric};
 pub use wheel::{Due, TimerWheel};
 
 #[cfg(not(borealis_model))]
-use borealis_dpc::{MetricsHub, SystemLayout};
+use borealis_dpc::{Actor, MetricsHub, NetMsg, SystemLayout};
 #[cfg(not(borealis_model))]
-use borealis_types::{NodeId, StreamId};
+use borealis_types::{FlowGauges, NodeId, SchedGauges, WireGauges};
+#[cfg(not(borealis_model))]
+use sync::Arc;
 
-/// A deployment running under the thread engine.
+/// A deployment running on the worker pool: the whole layout in one
+/// process ([`deploy_threads`]), or this process's share of a
+/// multi-process one ([`deploy_tcp`]).
 ///
-/// The mirror of `borealis_dpc::RunningSystem`: same topology lookup
-/// fields, but progress happens in wall-clock time on background threads —
-/// [`RunningThreads::run_for`] simply lets it.
+/// The wall-clock sibling of `borealis_dpc::RunningSystem`: progress
+/// happens on background threads — [`RunningThreads::run_for`] simply
+/// lets it.
 #[cfg(not(borealis_model))]
 pub struct RunningThreads {
-    /// The engine driving the actors.
+    /// The engine driving the (local) actors.
     pub runtime: ThreadRuntime,
-    /// Metrics collected by the client proxy (readable live).
+    /// The socket fabric connecting this process to its peers (`None`
+    /// for an in-process deployment).
+    pub fabric: Option<Arc<TcpFabric>>,
+    /// Metrics collected by the client proxy (readable live; populated
+    /// only in the process hosting the client).
     pub metrics: MetricsHub,
-    /// Source actor ids, per stream.
-    pub source_ids: Vec<(StreamId, NodeId)>,
-    /// Node ids per physical fragment (outer index = physical fragment
-    /// index; a sharded group contributes one entry per shard).
-    pub fragment_replicas: Vec<Vec<NodeId>>,
-    /// Physical fragment indexes per logical fragment, in shard order.
-    pub groups: Vec<Vec<usize>>,
-    /// The client proxy, if any.
-    pub client: Option<NodeId>,
 }
 
 #[cfg(not(borealis_model))]
 impl RunningThreads {
     /// Lets the system run for `wall` (blocks the caller; the actors run on
-    /// the worker pool), then refreshes the metrics hub's transport and
-    /// scheduler gauges.
+    /// the worker pool).
     pub fn run_for(&self, wall: std::time::Duration) {
         self.runtime.run_for(wall);
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
     }
 
     /// Queue-depth and stall-time gauges of the transport's credit ledger.
-    pub fn flow_gauges(&self) -> borealis_types::FlowGauges {
+    pub fn flow_gauges(&self) -> FlowGauges {
         self.runtime.links().flow_gauges()
     }
 
     /// Worker-pool scheduler gauges (steals, run-queue depths, activation
     /// run-time histogram).
-    pub fn sched_gauges(&self) -> borealis_types::SchedGauges {
+    pub fn sched_gauges(&self) -> SchedGauges {
         self.runtime.sched_gauges()
     }
 
-    /// Stops every thread in order and returns message-loss statistics
-    /// (including the final transport and scheduler gauges).
+    /// Aggregated wire gauges across this process's connections (zero
+    /// without a fabric).
+    pub fn wire_gauges(&self) -> WireGauges {
+        self.fabric
+            .as_ref()
+            .map_or_else(WireGauges::default, |f| f.wire_gauges())
+    }
+
+    /// Message-loss statistics so far, including the wire gauges.
+    pub fn stats(&self) -> StatsSnapshot {
+        let mut snap = self.runtime.stats();
+        snap.wire = self.wire_gauges();
+        snap
+    }
+
+    /// Stops every thread in order, then tears a fabric down cleanly
+    /// (`Goodbye` + flush on every connection). Returns final
+    /// message-loss statistics, including the final transport, scheduler
+    /// and wire gauges.
     pub fn shutdown(self) -> StatsSnapshot {
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
-        self.runtime.shutdown()
+        let mut snap = self.runtime.shutdown();
+        if let Some(f) = &self.fabric {
+            f.shutdown();
+            snap.wire = f.wire_gauges();
+        }
+        snap
     }
 }
 
@@ -129,11 +147,41 @@ impl RunningThreads {
 /// ([`ThreadRuntime::default_workers`]).
 #[cfg(not(borealis_model))]
 pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
+    deploy(layout, None)
+}
+
+/// Launches this process's share of a resolved [`SystemLayout`] over an
+/// established [`TcpFabric`]: actors planned here run for real, actors
+/// planned elsewhere become inert stubs that are stopped immediately (a
+/// send to one travels the wire instead). The scripted fault script
+/// replays in every process, keeping link-table decisions consistent.
+#[cfg(not(borealis_model))]
+pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningThreads {
+    assert_eq!(
+        fabric.plan.len(),
+        layout.actors.len(),
+        "process plan must cover every actor"
+    );
+    deploy(layout, Some(fabric))
+}
+
+#[cfg(not(borealis_model))]
+fn deploy(layout: SystemLayout, fabric: Option<Arc<TcpFabric>>) -> RunningThreads {
     let metrics = layout.metrics.clone();
+    let mut remote = Vec::new();
     let actors = layout
         .actors
         .into_iter()
-        .map(|spec| spec.into_actor(&metrics))
+        .enumerate()
+        .map(|(i, spec)| {
+            let id = NodeId(i as u32);
+            if fabric.as_ref().is_some_and(|f| f.is_remote(id)) {
+                remote.push(id);
+                Box::new(tcp::RemoteStub) as Box<dyn Actor<NetMsg> + Send>
+            } else {
+                spec.into_actor(&metrics)
+            }
+        })
         .collect();
     let workers = layout
         .workers
@@ -145,15 +193,18 @@ pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
         layout.partitions,
         layout.flow_policy,
         workers,
-        None,
+        fabric.clone(),
     );
+    // Stubs process their (no-op) on_start and stop: nothing remote ever
+    // runs here, and shutdown's all-stopped rendezvous already counts
+    // them.
+    for id in remote {
+        runtime.stop_task(id);
+    }
     RunningThreads {
         runtime,
+        fabric,
         metrics,
-        source_ids: layout.source_ids,
-        fragment_replicas: layout.fragment_replicas,
-        groups: layout.groups,
-        client: layout.client,
     }
 }
 
@@ -182,7 +233,7 @@ mod tests {
         };
         let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
         let (s2, u) = (s2.id(), u.id());
-        let layout = SystemBuilder::new(11, Duration::from_millis(1))
+        let layout = SystemBuilder::new(11)
             .source(SourceConfig::seq(s1.id(), 200.0))
             .source(SourceConfig::seq(s2, 200.0))
             .plan(p)

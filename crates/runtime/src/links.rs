@@ -50,7 +50,8 @@ pub struct StatsSnapshot {
     /// run-time histogram).
     pub sched: SchedGauges,
     /// Socket-transport wire gauges (zero for in-process deployments;
-    /// filled by [`RunningTcp`](crate::tcp::RunningTcp)).
+    /// filled by a [`RunningThreads`](crate::RunningThreads) with a
+    /// fabric).
     pub wire: WireGauges,
 }
 
@@ -134,9 +135,7 @@ impl LinkTable {
         policy: CreditPolicy,
     ) -> LinkTable {
         LinkTable {
-            // Latency is a simulator concept; the thread engine runs at
-            // native channel latency, so the value here is never read.
-            net: RwLock::new(Network::new(Duration::ZERO)),
+            net: RwLock::new(Network::new()),
             partitions: partitions
                 .into_iter()
                 .map(|(n, s)| (n, Arc::new(s)))

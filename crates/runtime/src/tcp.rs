@@ -45,16 +45,13 @@
 //! re-subscription) — the fabric only restores connectivity.
 
 use crate::clock::MonotonicClock;
-use crate::engine::ThreadRuntime;
-use crate::links::{LinkTable, RuntimeStats, StatsSnapshot};
+use crate::links::{LinkTable, RuntimeStats};
 use crate::scheduler::{Envelope, Scheduler};
 use crate::sync::{cv_wait, read, relock, write};
 use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
-use borealis_dpc::{
-    decode_frame, encode_frame, Actor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
-};
+use borealis_dpc::{decode_frame, encode_frame, Actor, NetMsg, RuntimeCtx, SystemLayout, WireMsg};
 use borealis_sim::FaultEvent;
-use borealis_types::{Duration, NodeId, StreamId, Time, WireGauges};
+use borealis_types::{Duration, NodeId, Time, WireGauges};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -200,7 +197,7 @@ fn writer_loop(conn: Arc<Conn>) {
 /// Placeholder for an actor living in another process: it receives
 /// nothing (sends to it travel the wire) and is stopped right after
 /// deployment.
-struct RemoteStub;
+pub(crate) struct RemoteStub;
 
 impl Actor<NetMsg> for RemoteStub {
     fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
@@ -223,7 +220,7 @@ struct IoCtx {
 pub struct TcpFabric {
     my_proc: u32,
     /// `plan[actor index] = process id` — identical in every process.
-    plan: Vec<u32>,
+    pub(crate) plan: Vec<u32>,
     /// Indexed by process id; `None` for `my_proc`. Slots are writable
     /// because a killed peer process may respawn and re-dial mid-run: the
     /// acceptor thread installs the fresh connection in place.
@@ -839,124 +836,12 @@ pub fn plan_processes(layout: &SystemLayout, procs: u32) -> Vec<u32> {
     plan
 }
 
-/// A deployment running under the thread engine in one process of a
-/// multi-process system — the socket sibling of
-/// [`RunningThreads`](crate::RunningThreads).
-pub struct RunningTcp {
-    /// The engine driving this process's live actors.
-    pub runtime: ThreadRuntime,
-    /// The socket fabric connecting this process to its peers.
-    pub fabric: Arc<TcpFabric>,
-    /// Metrics collected by the client proxy (populated only in the
-    /// process hosting the client).
-    pub metrics: MetricsHub,
-    /// Source actor ids, per stream.
-    pub source_ids: Vec<(StreamId, NodeId)>,
-    /// Node ids per physical fragment.
-    pub fragment_replicas: Vec<Vec<NodeId>>,
-    /// Physical fragment indexes per logical fragment, in shard order.
-    pub groups: Vec<Vec<usize>>,
-    /// The client proxy, if hosted here.
-    pub client: Option<NodeId>,
-}
-
-impl RunningTcp {
-    /// Lets the system run for `wall`, then refreshes the metrics hub's
-    /// transport, scheduler, and wire gauges.
-    pub fn run_for(&self, wall: std::time::Duration) {
-        self.runtime.run_for(wall);
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
-        self.metrics.record_wire(self.fabric.wire_gauges());
-    }
-
-    /// Aggregated wire gauges across this process's connections.
-    pub fn wire_gauges(&self) -> WireGauges {
-        self.fabric.wire_gauges()
-    }
-
-    /// Message-loss statistics so far, including the wire gauges.
-    pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.runtime.stats();
-        snap.wire = self.fabric.wire_gauges();
-        snap
-    }
-
-    /// Stops the local engine, then tears the fabric down cleanly
-    /// (`Goodbye` + flush on every connection). Returns final statistics
-    /// with the wire gauges filled in.
-    pub fn shutdown(self) -> StatsSnapshot {
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
-        let mut snap = self.runtime.shutdown();
-        self.fabric.shutdown();
-        snap.wire = self.fabric.wire_gauges();
-        self.metrics.record_wire(snap.wire);
-        snap
-    }
-}
-
-/// Launches this process's share of a resolved [`SystemLayout`] over an
-/// established [`TcpFabric`]: actors planned here run for real, actors
-/// planned elsewhere become inert stubs that are stopped immediately (a
-/// send to one travels the wire instead). The scripted fault script
-/// replays in every process, keeping link-table decisions consistent.
-pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
-    assert_eq!(
-        fabric.plan.len(),
-        layout.actors.len(),
-        "process plan must cover every actor"
-    );
-    let metrics = layout.metrics.clone();
-    let mut remote = Vec::new();
-    let actors: Vec<Box<dyn Actor<NetMsg> + Send>> = layout
-        .actors
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let id = NodeId(i as u32);
-            if fabric.is_remote(id) {
-                remote.push(id);
-                Box::new(RemoteStub) as Box<dyn Actor<NetMsg> + Send>
-            } else {
-                spec.into_actor(&metrics)
-            }
-        })
-        .collect();
-    let workers = layout
-        .workers
-        .unwrap_or_else(ThreadRuntime::default_workers);
-    let runtime = ThreadRuntime::spawn(
-        actors,
-        layout.script,
-        layout.seed,
-        layout.partitions,
-        layout.flow_policy,
-        workers,
-        Some(Arc::clone(&fabric)),
-    );
-    // Stubs process their (no-op) on_start and stop: nothing remote ever
-    // runs here, and shutdown's all-stopped rendezvous already counts
-    // them.
-    for id in &remote {
-        runtime.stop_task(*id);
-    }
-    RunningTcp {
-        runtime,
-        fabric,
-        metrics,
-        source_ids: layout.source_ids,
-        fragment_replicas: layout.fragment_replicas,
-        groups: layout.groups,
-        client: layout.client,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ThreadRuntime;
     use crate::sync::AtomicUsize;
-    use borealis_types::{CreditPolicy, Tuple, TupleBatch, TupleId};
+    use borealis_types::{CreditPolicy, StreamId, Tuple, TupleBatch, TupleId};
 
     fn data_msg() -> NetMsg {
         NetMsg::Data {
@@ -1238,7 +1123,7 @@ mod tests {
         q.output(u);
         let d = q.build().unwrap();
         let p = plan_deployment(&d, &DeploymentSpec::single(2), &DpcConfig::default()).unwrap();
-        let layout = SystemBuilder::new(1, Duration::from_millis(1))
+        let layout = SystemBuilder::new(1)
             .source(borealis_dpc::SourceConfig::seq(s1.id(), 10.0))
             .source(borealis_dpc::SourceConfig::seq(s2.id(), 10.0))
             .plan(p)

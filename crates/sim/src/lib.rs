@@ -2,8 +2,9 @@
 //!
 //! A deterministic discrete-event simulator: virtual clock, totally ordered
 //! event queue, seeded RNG, and a simulated network with reliable in-order
-//! links, per-pair latencies, and scripted link/node/custom faults — the
-//! §2.2 system model of the paper, reproducible on one machine.
+//! links, one constant link latency, and scripted link/node/custom
+//! faults — the §2.2 system model of the paper, reproducible on one
+//! machine.
 //!
 //! It also defines the protocol–runtime seam: the one [`Actor`] trait and
 //! the one [`RuntimeCtx`] trait, both generic over the message type. The
@@ -26,4 +27,4 @@ pub use actor::{Actor, RuntimeCtx};
 pub use fault::FaultEvent;
 pub use flow::FlowControl;
 pub use kernel::{ShardMsg, Sim, SimStats};
-pub use net::Network;
+pub use net::{Network, LINK_LATENCY};

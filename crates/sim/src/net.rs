@@ -1,21 +1,22 @@
 //! The simulated network: reliable, in-order, point-to-point links.
 //!
 //! The paper assumes "replicas communicate using a reliable, in-order
-//! protocol like TCP" (§2.2). The simulator provides exactly that: constant
-//! per-pair latency (FIFO order falls out of a deterministic event queue)
-//! and explicit link/node failure state. Messages sent or delivered while a
-//! link or endpoint is down are lost, like segments of a broken TCP
-//! connection.
+//! protocol like TCP" (§2.2). The simulator provides exactly that: one
+//! constant link latency, [`LINK_LATENCY`] (FIFO order falls out of a
+//! deterministic event queue), and explicit link/node failure state.
+//! Messages sent or delivered while a link or endpoint is down are lost,
+//! like segments of a broken TCP connection.
 
 use borealis_types::{Duration, NodeId, PartitionSpec};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Connectivity and latency state of the simulated network.
-#[derive(Debug, Clone)]
+/// One-way latency of every simulated link.
+pub const LINK_LATENCY: Duration = Duration::from_millis(1);
+
+/// Connectivity state of the simulated network.
+#[derive(Debug, Clone, Default)]
 pub struct Network {
-    default_latency: Duration,
-    latency_overrides: HashMap<(NodeId, NodeId), Duration>,
     down_links: HashSet<(NodeId, NodeId)>,
     down_nodes: HashSet<NodeId>,
     /// Key-partition filters, per receiving node: a shard replica only
@@ -33,15 +34,9 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 }
 
 impl Network {
-    /// A fully connected network with the given default one-way latency.
-    pub fn new(default_latency: Duration) -> Network {
-        Network {
-            default_latency,
-            latency_overrides: HashMap::new(),
-            down_links: HashSet::new(),
-            down_nodes: HashSet::new(),
-            partitions: HashMap::new(),
-        }
+    /// A fully connected network.
+    pub fn new() -> Network {
+        Network::default()
     }
 
     /// Declares `node` a key-partitioned receiver: every data batch sent to
@@ -54,19 +49,6 @@ impl Network {
     /// The partition filter governing deliveries to `node`, if any.
     pub fn partition_of(&self, node: NodeId) -> Option<&Arc<PartitionSpec>> {
         self.partitions.get(&node)
-    }
-
-    /// Sets a specific latency for the pair `(a, b)` (both directions).
-    pub fn set_latency(&mut self, a: NodeId, b: NodeId, latency: Duration) {
-        self.latency_overrides.insert(ordered(a, b), latency);
-    }
-
-    /// One-way latency between two endpoints.
-    pub fn latency(&self, a: NodeId, b: NodeId) -> Duration {
-        self.latency_overrides
-            .get(&ordered(a, b))
-            .copied()
-            .unwrap_or(self.default_latency)
     }
 
     /// True if a message from `a` can currently reach `b`.
@@ -126,16 +108,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_and_override_latency() {
-        let mut net = Network::new(Duration::from_millis(1));
-        assert_eq!(net.latency(NodeId(0), NodeId(1)), Duration::from_millis(1));
-        net.set_latency(NodeId(0), NodeId(1), Duration::from_millis(5));
-        assert_eq!(net.latency(NodeId(1), NodeId(0)), Duration::from_millis(5));
-    }
-
-    #[test]
     fn link_failures_are_bidirectional() {
-        let mut net = Network::new(Duration::from_millis(1));
+        let mut net = Network::new();
         assert!(net.reachable(NodeId(0), NodeId(1)));
         net.link_down(NodeId(1), NodeId(0));
         assert!(!net.reachable(NodeId(0), NodeId(1)));
@@ -146,7 +120,7 @@ mod tests {
 
     #[test]
     fn node_crash_blocks_all_its_links() {
-        let mut net = Network::new(Duration::from_millis(1));
+        let mut net = Network::new();
         net.node_down(NodeId(2));
         assert!(!net.reachable(NodeId(0), NodeId(2)));
         assert!(!net.reachable(NodeId(2), NodeId(1)));
@@ -157,7 +131,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_cross_links_only() {
-        let mut net = Network::new(Duration::from_millis(1));
+        let mut net = Network::new();
         let a = [NodeId(0), NodeId(1)];
         let b = [NodeId(2), NodeId(3)];
         net.partition(&a, &b);

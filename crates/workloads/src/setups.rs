@@ -7,9 +7,7 @@ use borealis_diagram::{
     plan_deployment, DelayAssignment, DeploymentSpec, DpcConfig, FragmentSpec, JoinSpec,
     Protection, QueryBuilder,
 };
-use borealis_dpc::{
-    ClientTuning, MetricsHub, NodeTuning, RunningSystem, SourceConfig, SystemBuilder, ValueGen,
-};
+use borealis_dpc::{MetricsHub, NodeTuning, RunningSystem, SourceConfig, SystemBuilder, ValueGen};
 use borealis_ops::DelayMode;
 use borealis_types::{Duration, Expr, StreamId};
 
@@ -164,15 +162,14 @@ pub fn single_node_system(o: &SingleNodeOptions) -> RunningSystem {
     if o.trace {
         metrics.enable_trace(SINGLE_NODE_OUT);
     }
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(o.seed)
         .plan(p)
         .client_streams(vec![SINGLE_NODE_OUT])
         .metrics(metrics)
         .node_tuning(NodeTuning {
             per_tuple_cost: o.per_tuple_cost,
             ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning::default());
+        });
     for s in single_node_sources() {
         builder = builder.source(SourceConfig {
             stream: s,
@@ -266,21 +263,14 @@ pub fn chain_builder(o: &ChainOptions) -> (SystemBuilder, StreamId) {
     };
     let p = plan_deployment(&d, &spec, &cfg).expect("chain plan is valid");
     let metrics = MetricsHub::new();
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(o.seed)
         .plan(p)
         .client_streams(vec![last.id()])
         .metrics(metrics)
         .node_tuning(NodeTuning {
             per_tuple_cost: o.per_tuple_cost,
             heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
             ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
         });
     for s in [s1, s2, s3] {
         builder = builder.source(SourceConfig {
@@ -395,21 +385,14 @@ pub fn sharded_chain_builder(o: &ShardedChainOptions) -> (SystemBuilder, StreamI
         protection: Protection::Dpc,
     };
     let p = plan_deployment(&d, &spec, &cfg).expect("sharded chain plan is valid");
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(o.seed)
         .plan(p)
         .client_streams(vec![deliver.id()])
         .metrics(MetricsHub::new())
         .node_tuning(NodeTuning {
             per_tuple_cost: o.light_cost,
             heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
             ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
         });
     for s in [s1, s2, s3] {
         builder = builder.source(SourceConfig {
@@ -527,21 +510,14 @@ pub fn scale_grid_builder(o: &ScaleOptions) -> (SystemBuilder, Vec<StreamId>) {
         protection: Protection::Dpc,
     };
     let p = plan_deployment(&d, &spec, &cfg).expect("scale grid plan is valid");
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(o.seed)
         .plan(p)
         .client_streams(outs.clone())
         .metrics(MetricsHub::new())
         .node_tuning(NodeTuning {
             per_tuple_cost: o.light_cost,
             heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
             ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
         });
     for s in &sources {
         builder = builder.source(SourceConfig {
@@ -615,7 +591,7 @@ pub fn overhead_system(o: &OverheadOptions) -> RunningSystem {
         },
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(1), &cfg).expect("overhead plan is valid");
-    SystemBuilder::new(o.seed, Duration::from_millis(1))
+    SystemBuilder::new(o.seed)
         .source(SourceConfig {
             stream: input.id(),
             rate: o.rate,

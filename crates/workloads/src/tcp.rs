@@ -158,34 +158,41 @@ impl TcpChainSpec {
         args
     }
 
-    /// Parses `key=value` tokens produced by [`TcpChainSpec::to_args`]
-    /// (unknown keys are ignored, so launchers can carry extra tokens).
-    pub fn parse_args<'a>(args: impl Iterator<Item = &'a str>) -> TcpChainSpec {
+    /// Parses `key=value` tokens produced by [`TcpChainSpec::to_args`].
+    /// Unknown keys and tokens without `=` are ignored, so launchers can
+    /// carry extra tokens; a malformed value of a known key is an error,
+    /// since a process that fell back to a default would build a layout
+    /// that differs from its peers'.
+    pub fn parse_args<'a>(args: impl Iterator<Item = &'a str>) -> std::io::Result<TcpChainSpec> {
+        fn malformed(key: &str, val: &str) -> std::io::Error {
+            invalid(format!("malformed argument {key}={val}"))
+        }
+        fn num<T: std::str::FromStr>(key: &str, val: &str) -> std::io::Result<T> {
+            val.parse().map_err(|_| malformed(key, val))
+        }
+        // `0` encodes `None` for the optional counts.
+        fn nonzero<T: std::str::FromStr + Default + PartialEq>(
+            key: &str,
+            val: &str,
+        ) -> std::io::Result<Option<T>> {
+            let n: T = num(key, val)?;
+            Ok((n != T::default()).then_some(n))
+        }
         let mut spec = TcpChainSpec::default();
         for arg in args {
             let Some((key, val)) = arg.split_once('=') else {
                 continue;
             };
             match key {
-                "shards" => spec.shards = val.parse().unwrap_or(spec.shards),
-                "rate" => spec.per_source_rate = val.parse().unwrap_or(spec.per_source_rate),
-                "wall_ms" => spec.wall_ms = val.parse().unwrap_or(spec.wall_ms),
-                "crash" => spec.crash = val == "true",
-                "window" => {
-                    spec.window = match val.parse::<u32>() {
-                        Ok(0) | Err(_) => None,
-                        Ok(w) => Some(w),
-                    }
-                }
-                "procs" => spec.procs = val.parse().unwrap_or(spec.procs),
-                "workers" => spec.workers = val.parse().unwrap_or(spec.workers),
-                "seed" => spec.seed = val.parse().unwrap_or(spec.seed),
-                "limit" => {
-                    spec.source_limit = match val.parse::<u64>() {
-                        Ok(0) | Err(_) => None,
-                        Ok(n) => Some(n),
-                    }
-                }
+                "shards" => spec.shards = num(key, val)?,
+                "rate" => spec.per_source_rate = num(key, val)?,
+                "wall_ms" => spec.wall_ms = num(key, val)?,
+                "crash" => spec.crash = num(key, val)?,
+                "window" => spec.window = nonzero(key, val)?,
+                "procs" => spec.procs = num(key, val)?,
+                "workers" => spec.workers = num(key, val)?,
+                "seed" => spec.seed = num(key, val)?,
+                "limit" => spec.source_limit = nonzero(key, val)?,
                 "addrs" => {
                     spec.addrs = val
                         .split(',')
@@ -196,16 +203,15 @@ impl TcpChainSpec {
                 "durable" => {
                     spec.durable_dir = (!val.is_empty()).then(|| val.to_string());
                 }
-                "hb" => spec.heartbeat_ms = val.parse().unwrap_or(spec.heartbeat_ms),
+                "hb" => spec.heartbeat_ms = num(key, val)?,
                 "restart" => {
-                    spec.restart = val.split_once('@').and_then(|(p, ms)| {
-                        Some((p.parse::<u32>().ok()?, ms.parse::<u64>().ok()?))
-                    });
+                    let (p, ms) = val.split_once('@').ok_or_else(|| malformed(key, val))?;
+                    spec.restart = Some((num(key, p)?, num(key, ms)?));
                 }
                 _ => {}
             }
         }
-        spec
+        Ok(spec)
     }
 }
 
@@ -437,7 +443,7 @@ pub fn run_tcp_child_args<'a>(args: impl Iterator<Item = &'a str> + Clone) -> st
         .find_map(|a| a.strip_prefix("proc=").and_then(|v| v.parse::<u32>().ok()))
         .ok_or_else(|| invalid("missing proc=<i> argument".into()))?;
     let rejoin = args.clone().any(|a| a == "rejoin=true");
-    let spec = TcpChainSpec::parse_args(args);
+    let spec = TcpChainSpec::parse_args(args)?;
     run_tcp_child(my_proc, &spec, rejoin)
 }
 
@@ -463,11 +469,40 @@ mod tests {
             heartbeat_ms: 250,
         };
         let args = spec.to_args();
-        let parsed = TcpChainSpec::parse_args(args.iter().map(|s| s.as_str()));
+        let parsed = TcpChainSpec::parse_args(args.iter().map(|s| s.as_str())).unwrap();
         assert_eq!(parsed, spec);
         // Defaults survive empty/foreign tokens.
-        let d = TcpChainSpec::parse_args(["proc=2", "noise"].into_iter());
+        let d = TcpChainSpec::parse_args(["proc=2", "rejoin=true", "noise"].into_iter()).unwrap();
         assert_eq!(d, TcpChainSpec::default());
+    }
+
+    /// A malformed value of a known key is an error, never a silent
+    /// default: a worker that fell back would build a different layout
+    /// and id space than its parent.
+    #[test]
+    fn malformed_spec_tokens_are_rejected() {
+        for bad in [
+            "shards=x",
+            "rate=fast",
+            "wall_ms=-1",
+            "crash=yes",
+            "window=big",
+            "procs=",
+            "workers=two",
+            "seed=0x7",
+            "limit=all",
+            "hb=1.5",
+            "restart=2@",
+            "restart=2",
+            "restart=@100",
+        ] {
+            let err = TcpChainSpec::parse_args(["proc=1", bad].into_iter())
+                .expect_err(&format!("{bad} must be rejected"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+        }
+        // The worker entry point passes the error on before any set-up.
+        let err = run_tcp_child_args(["proc=1", "shards=x"].into_iter()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn main() {
         values: ValueGen::Keyed { keys: 12 },
         limit: None,
     };
-    let mut sys = SystemBuilder::new(37, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(37)
         .source(feed(gw1))
         .source(feed(gw2))
         .plan(plan)

@@ -72,7 +72,7 @@ fn main() {
     // `seq`, so `seq % 1000 > 800` fires for ~20% of flows.
     // (The filter compares field 1 directly; Keyed yields [key, seq].)
     let metrics = MetricsHub::new();
-    let mut sys = SystemBuilder::new(11, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(11)
         .source(source(mon_a))
         .source(source(mon_b))
         .source(source(mon_c))

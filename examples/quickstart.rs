@@ -39,7 +39,7 @@ fn main() {
     // along: monitor 3 unreachable from t=5s, healing at t=10s.
     let metrics = MetricsHub::new();
     metrics.enable_trace(merged);
-    let mut sys = SystemBuilder::new(7, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(7)
         .source(SourceConfig::seq(m1.id(), 100.0))
         .source(SourceConfig::seq(m2.id(), 100.0))
         .source(SourceConfig::seq(m3.id(), 100.0))

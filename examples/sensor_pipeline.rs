@@ -81,7 +81,7 @@ fn main() {
         },
         limit: None,
     };
-    let mut sys = SystemBuilder::new(23, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(23)
         .source(sensor(temperature))
         .source(sensor(pressure))
         .plan(plan)

@@ -2,8 +2,9 @@
 //! fabric, launched by [`borealis_workloads::run_tcp_parent`].
 //!
 //! Argv carries `proc=<i>` plus the serialized [`TcpChainSpec`]
-//! (`key=value` tokens); the port map arrives on stdin. See
-//! `borealis_workloads::tcp` for the handshake protocol.
+//! (`key=value` tokens, the `addrs=` port map among them); a malformed
+//! value exits with an error. See `borealis_workloads::tcp` for the
+//! addressing scheme.
 //!
 //! [`TcpChainSpec`]: borealis_workloads::TcpChainSpec
 

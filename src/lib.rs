@@ -23,9 +23,11 @@
 //! let cfg = DpcConfig { total_delay: Duration::from_secs(2), ..DpcConfig::default() };
 //! let plan = plan_deployment(&diagram, &DeploymentSpec::single(2), &cfg).unwrap();
 //!
-//! // 3. Deploy: replicated node pair, three sources, one client, and a
-//! //    scripted failure — monitor 3 unreachable from t=5s to t=8s.
-//! let mut sys = SystemBuilder::new(7, Duration::from_millis(1))
+//! // 3. Deploy under the simulator (seed 7; every link takes
+//! //    `sim::LINK_LATENCY`, 1 ms): replicated node pair, three sources,
+//! //    one client, and a scripted failure — monitor 3 unreachable from
+//! //    t=5s to t=8s.
+//! let mut sys = SystemBuilder::new(7)
 //!     .source(SourceConfig::seq(m1.id(), 100.0))
 //!     .source(SourceConfig::seq(m2.id(), 100.0))
 //!     .source(SourceConfig::seq(m3.id(), 100.0))
@@ -67,6 +69,7 @@
 //! | `borealis-engine` | Per-node fragment executor (batch-wise) with checkpoint/redo reconciliation |
 //! | `borealis-sim` | Deterministic discrete-event simulator + network fault injection + message-loss stats |
 //! | `borealis-dpc` | The DPC protocol: nodes, sources, clients, replica management |
+//! | `borealis-runtime` | The same actors on a wall-clock worker pool ([`deploy_threads`](borealis_runtime::deploy_threads)) or across OS processes over TCP ([`deploy_tcp`](borealis_runtime::deploy_tcp)); both return one `RunningThreads` handle |
 //! | `borealis-workloads` | Paper-experiment setups and runners |
 //! | `borealis-bench` | One `cargo bench` target per paper table/figure |
 //!
@@ -100,13 +103,12 @@ pub mod prelude {
         QueryBuilder, StreamHandle,
     };
     pub use borealis_dpc::{
-        BufferPolicy, ClientTuning, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
-        SourceConfig, SystemBuilder, SystemLayout, ValueGen,
+        BufferPolicy, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem, SourceConfig,
+        SystemBuilder, SystemLayout, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
     pub use borealis_runtime::{
-        deploy_tcp, deploy_threads, plan_processes, RunningTcp, RunningThreads, TcpFabric,
-        ThreadRuntime,
+        deploy_tcp, deploy_threads, plan_processes, RunningThreads, TcpFabric, ThreadRuntime,
     };
     pub use borealis_types::{
         CreditPolicy, Duration, Expr, FlowGauges, FragmentId, NodeId, PartitionSpec, SchedGauges,

@@ -112,7 +112,7 @@ fn unaffected_streams_stay_stable() {
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
     let (s2, f1, f2) = (s2.id(), f1.id(), f2.id());
-    let mut sys = SystemBuilder::new(3, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(3)
         .source(SourceConfig::seq(s1.id(), 100.0))
         .source(SourceConfig::seq(s2, 100.0))
         .plan(p)

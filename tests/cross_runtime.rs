@@ -258,7 +258,7 @@ fn overload_chain(
 
 /// Bounded credit window under sustained overload (simulator): the
 /// receiver-side in-flight depth stays at the window while the unbounded
-/// (metered) baseline grows monotonically with the horizon — the
+/// baseline (`Window(u32::MAX)`: accounted, never stalled) grows monotonically with the horizon — the
 /// ROADMAP's "delayed, not unboundedly buffered" contract, measured.
 #[test]
 fn overload_bounded_window_caps_inflight_where_baseline_grows() {
@@ -289,9 +289,9 @@ fn overload_bounded_window_caps_inflight_where_baseline_grows() {
     assert!(n_stable >= 100, "pre-stall stable prefix: {n_stable}");
     assert_eq!(dup, 0);
 
-    // --- Unbounded baseline (metered): buffering grows with the horizon --
+    // --- Unbounded baseline (accounted): buffering grows with the horizon
     let peak_at = |secs: u64| {
-        let (builder, _) = overload_chain(CreditPolicy::Metered, 77, None);
+        let (builder, _) = overload_chain(CreditPolicy::Window(u32::MAX), 77, None);
         let mut sys = builder.build();
         sys.run_until(Time::from_secs(secs));
         sys.flow_gauges().inflight_peak

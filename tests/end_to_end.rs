@@ -27,7 +27,7 @@ fn merge3(
     if trace {
         hub.enable_trace(u.id());
     }
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(seed)
         .plan(p)
         .client_streams(vec![u.id()])
         .metrics(hub);

@@ -16,7 +16,7 @@ fn merge3(seed: u64, replication: usize) -> (RunningSystem, StreamId) {
         ..DpcConfig::default()
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(replication), &cfg).unwrap();
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(seed)
         .plan(p)
         .client_streams(vec![u.id()]);
     for s in [s1, s2, s3] {
@@ -147,7 +147,7 @@ fn bounded_buffers_keep_live_stream_consistent() {
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
     let (s2, u) = (s2.id(), u.id());
-    let mut sys = SystemBuilder::new(59, Duration::from_millis(1))
+    let mut sys = SystemBuilder::new(59)
         .source(SourceConfig::seq(s1.id(), 100.0))
         .source(SourceConfig::seq(s2, 100.0))
         .plan(p)

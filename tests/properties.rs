@@ -46,7 +46,7 @@ fn build_system(seed: u64, trace: bool) -> (RunningSystem, StreamId) {
     if trace {
         hub.enable_trace(u.id());
     }
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
+    let mut builder = SystemBuilder::new(seed)
         .plan(p)
         .client_streams(vec![u.id()])
         .metrics(hub);

@@ -144,7 +144,7 @@ fn clean_sharding_lifts_throughput_and_failover_keeps_stream_flowing() {
 /// K = 1 offered 24k tuples/s, about twice the work stage's capacity: a
 /// bounded credit window pins receiver-side in-flight depth at the window
 /// and the overload surfaces as delayed (tentative) buckets, while the
-/// metered-unbounded baseline's buffering grows. At the reference
+/// accounted unbounded baseline's (`Window(u32::MAX)`) buffering grows. At the reference
 /// configuration a window costs neither throughput nor delay budget.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wall-clock gate: release CI step only")]
@@ -174,7 +174,7 @@ fn overload_credit_window_bounds_inflight_and_spares_reference_path() {
         }
     }
 
-    let m = run(&overload, CreditPolicy::Metered, None, WALL_SECS);
+    let m = run(&overload, CreditPolicy::Window(u32::MAX), None, WALL_SECS);
     let widest = 32u64;
     assert!(
         m.flow.inflight_peak > 2 * widest,
