@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks (§7 runtime-overhead angle, measured in real
-//! time): operator throughput, SUnion serialization cost, fragment
-//! checkpoint/restore cost, and end-to-end simulated-cluster throughput.
+//! time): operator throughput, SUnion serialization cost, one fragment
+//! hop, fragment checkpoint/restore cost, and end-to-end simulated-cluster
+//! throughput.
 
 use borealis_diagram::{plan, Deployment, DiagramBuilder, DpcConfig, LogicalOp};
 use borealis_dpc::{BufferPolicy, OutputBuffer};
@@ -93,6 +94,43 @@ fn bench_sunion(c: &mut Criterion) {
             );
         });
     }
+    g.finish();
+}
+
+/// One fragment boundary hop of the steady chain in isolation: a 1024-tuple
+/// batch (plus the boundary that closes its buckets) through the input
+/// SUnion, a `Map(field(0))` and the SOutput — the per-stage work that the
+/// live `engine.work_ns_per_tuple` layer counter times inside a run.
+fn bench_fragment_hop(c: &mut Criterion) {
+    const N: u64 = 1024;
+    let mut b = DiagramBuilder::new();
+    let src = b.source("src");
+    let work = b.add(
+        "work",
+        LogicalOp::Map {
+            outputs: vec![Expr::field(0)],
+        },
+        &[src],
+    );
+    b.output(work);
+    let d = b.build().unwrap();
+    let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+    let mut input = tuples(N);
+    input.push(Tuple::boundary(TupleId::NONE, Time::from_secs(10)));
+    let input = TupleBatch::from_vec(input);
+    let mut g = c.benchmark_group("engine");
+    g.throughput(Throughput::Elements(N));
+    g.bench_function("fragment_hop", |bench| {
+        bench.iter_batched(
+            || Fragment::from_plan(&p.fragments[0]),
+            |mut fragment| {
+                let out = fragment.push_batch(src, &input, Time::from_secs(10));
+                assert_eq!(out.work, 3 * N, "every operator sees every tuple");
+                black_box(out.outputs.len())
+            },
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 
@@ -215,6 +253,7 @@ criterion_group!(
     benches,
     bench_filter,
     bench_sunion,
+    bench_fragment_hop,
     bench_checkpoint,
     bench_fanout,
     bench_end_to_end

@@ -18,7 +18,7 @@ use crate::msg::{NetMsg, NodeState};
 use crate::runtime::{Actor, RuntimeCtx};
 use borealis_sim::FaultEvent;
 use borealis_types::{
-    BatchLog, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
+    BatchLog, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value, Values,
 };
 use std::collections::HashMap;
 
@@ -43,18 +43,18 @@ pub enum ValueGen {
 }
 
 impl ValueGen {
-    fn gen(&self, seq: u64) -> Vec<Value> {
+    fn gen(&self, seq: u64) -> Values {
         match self {
-            ValueGen::Seq => vec![Value::Int(seq as i64)],
+            ValueGen::Seq => Values::from([Value::Int(seq as i64)]),
             ValueGen::Keyed { keys } => {
-                vec![Value::Int(seq as i64 % keys), Value::Int(seq as i64)]
+                Values::from([Value::Int(seq as i64 % keys), Value::Int(seq as i64)])
             }
             ValueGen::Reading { keys, amplitude } => {
                 let phase = (seq % 97) as f64 / 97.0;
-                vec![
+                Values::from([
                     Value::Int(seq as i64 % keys),
                     Value::Float(amplitude * (2.0 * std::f64::consts::PI * phase).sin()),
-                ]
+                ])
             }
         }
     }

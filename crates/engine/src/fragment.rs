@@ -20,12 +20,16 @@
 //!   emit REC_DONE markers that propagate to the outputs.
 //!
 //! Execution is **batch-wise**: external input arrives as shared
-//! [`TupleBatch`] views, operators run their
-//! [`Operator::process_batch`](borealis_ops::Operator::process_batch) path,
-//! and intra-fragment routing and the produced [`Batch::outputs`] move
-//! reference-counted views — a pass-through operator chain forwards one
-//! allocation end to end. Only the failure path (divergence relabelling)
-//! copies tuples.
+//! [`TupleBatch`] views, operators run their [`Operator::process_batch`]
+//! path, and intra-fragment routing and the produced [`Batch::outputs`]
+//! move reference-counted views. On the healthy path two hops copy tuples, each
+//! into one fresh batch: the input SUnion, which renumbers every released
+//! bucket, and a Map, which builds each output row once. Filter and the
+//! SOutput forward their input by view. A tuple of up to two attributes
+//! clones without a heap allocation ([`borealis_types::Values`]), so a
+//! copying hop costs one allocation per batch, not per tuple. The failure
+//! path copies tuple by tuple: divergence relabelling, and SOutput while it
+//! stabilizes or forwards a REC_DONE.
 
 use borealis_diagram::FragmentPlan;
 use borealis_ops::sunion::Phase;

@@ -22,7 +22,7 @@ use crate::snapshot::{
 };
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire::{self, Reader, WireError};
-use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value, Values};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -286,8 +286,10 @@ impl Aggregate {
             let st = Arc::make_mut(&mut self.state);
             let win = st.windows.remove(&key).expect("window key just listed");
             let (start, group) = key;
-            let mut values = group;
-            values.extend(win.accums.iter().map(Accum::finish));
+            let values: Values = group
+                .into_iter()
+                .chain(win.accums.iter().map(Accum::finish))
+                .collect();
             let end = Time(start + size);
             let id = TupleId(st.next_id);
             st.next_id += 1;

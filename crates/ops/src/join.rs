@@ -14,7 +14,7 @@
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire::{self, Reader, WireError};
-use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value, Values};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -131,9 +131,7 @@ impl SJoin {
             } else {
                 (other, tuple)
             };
-            let mut values = Vec::with_capacity(l.values.len() + r.values.len());
-            values.extend_from_slice(&l.values);
-            values.extend_from_slice(&r.values);
+            let values: Values = l.values.iter().chain(r.values.iter()).cloned().collect();
             let stime = l.stime.max(r.stime);
             let tentative = l.is_tentative() || r.is_tentative();
             let id = TupleId(next_id);

@@ -1,7 +1,13 @@
 //! Map: transforms each input tuple into a single output tuple (§2.1).
+//!
+//! Map is one of the two hops of a fragment pass that copy tuples (the
+//! input SUnion's renumbering is the other): every data tuple becomes a
+//! fresh output row, built once from the input's header and the evaluated
+//! expressions. Rows of up to two attributes live inline in the [`Tuple`],
+//! so a batch costs one allocation (the output batch), not one per tuple.
 
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::{Expr, Time, Tuple, TupleBatch, TupleKind};
+use borealis_types::{Expr, Time, Tuple, TupleBatch, TupleKind, Values};
 
 /// A stateless projection/transformation.
 ///
@@ -17,6 +23,20 @@ impl Map {
     pub fn new(outputs: Vec<Expr>) -> Map {
         Map { outputs }
     }
+
+    /// The output row for one data tuple, built once (rows of up to two
+    /// attributes allocate nothing); `None` if an expression fails.
+    fn apply(&self, tuple: &Tuple) -> Option<Tuple> {
+        let values =
+            Values::try_from_fn(self.outputs.len(), |i| self.outputs[i].eval(tuple)).ok()?;
+        Some(Tuple {
+            kind: tuple.kind,
+            id: tuple.id,
+            stime: tuple.stime,
+            origin: tuple.origin,
+            values,
+        })
+    }
 }
 
 impl Operator for Map {
@@ -27,17 +47,10 @@ impl Operator for Map {
     fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Insertion | TupleKind::Tentative => {
-                let mut values = Vec::with_capacity(self.outputs.len());
-                for e in &self.outputs {
-                    match e.eval(tuple) {
-                        Ok(v) => values.push(v),
-                        // Deterministic drop on evaluation error, as Filter.
-                        Err(_) => return,
-                    }
+                // Deterministic drop on evaluation error, as Filter.
+                if let Some(t) = self.apply(tuple) {
+                    out.push(t);
                 }
-                let mut t = tuple.clone();
-                t.values = values;
-                out.push(t);
             }
             TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => {
                 out.push(tuple.clone());
@@ -56,19 +69,10 @@ impl Operator for Map {
         out: &mut BatchEmitter,
     ) {
         let mut result: Vec<Tuple> = Vec::with_capacity(batch.len());
-        'tuples: for tuple in batch.as_slice() {
+        for tuple in batch.as_slice() {
             match tuple.kind {
                 TupleKind::Insertion | TupleKind::Tentative => {
-                    let mut values = Vec::with_capacity(self.outputs.len());
-                    for e in &self.outputs {
-                        match e.eval(tuple) {
-                            Ok(v) => values.push(v),
-                            Err(_) => continue 'tuples,
-                        }
-                    }
-                    let mut t = tuple.clone();
-                    t.values = values;
-                    result.push(t);
+                    result.extend(self.apply(tuple));
                 }
                 TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => {
                     result.push(tuple.clone());

@@ -11,6 +11,11 @@
 //! 3. forwards the REC_DONE marker downstream and signals the Consistency
 //!    Manager that stabilization of this stream finished.
 //!
+//! Outside stabilization SOutput copies nothing: a batch without a
+//! REC_DONE is forwarded as the same shared view it arrived in, and one
+//! scan of it updates the last-stable memory. Stabilization and REC_DONE
+//! batches take the tuple-at-a-time path.
+//!
 //! Unlike every other operator, SOutput is **not** restored during
 //! fragment-wide reconciliation ([`crate::Operator::restore_on_reconcile`]):
 //! its duplicate-suppression memory spans the rollback.
@@ -18,7 +23,7 @@
 use crate::snapshot::{put_bool, read_bool, SnapshotCodec};
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire;
-use borealis_types::{ControlSignal, Time, Tuple, TupleId, TupleKind};
+use borealis_types::{ControlSignal, Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::sync::Arc;
 
 /// Runtime memory of an SOutput.
@@ -146,6 +151,46 @@ impl Operator for SOutput {
             }
             TupleKind::Undo => out.push(tuple.clone()),
         }
+    }
+
+    /// Batch path: outside stabilization every kind but REC_DONE passes
+    /// through unchanged, so a batch without one is forwarded by view and
+    /// its last stable id and trailing-tentative flag are read off a single
+    /// scan. Anything else goes tuple by tuple.
+    fn process_batch(
+        &mut self,
+        port: usize,
+        batch: &TupleBatch,
+        now: Time,
+        out: &mut BatchEmitter,
+    ) {
+        let mut last_stable = None;
+        let mut tentative = self.state.tentative_since_stable;
+        let by_view = !self.state.stabilizing
+            && batch.iter().all(|t| {
+                match t.kind {
+                    TupleKind::Insertion => {
+                        last_stable = Some(t.id);
+                        tentative = false;
+                    }
+                    TupleKind::Tentative => tentative = true,
+                    TupleKind::RecDone => return false,
+                    TupleKind::Boundary | TupleKind::Undo => {}
+                }
+                true
+            });
+        if !by_view {
+            for t in batch.as_slice() {
+                self.process(port, t, now, out);
+            }
+            return;
+        }
+        if last_stable.is_some() || tentative != self.state.tentative_since_stable {
+            let st = Arc::make_mut(&mut self.state);
+            st.last_stable = last_stable.unwrap_or(st.last_stable);
+            st.tentative_since_stable = tentative;
+        }
+        out.push_batch(batch.clone());
     }
 
     fn checkpoint(&self) -> OpSnapshot {

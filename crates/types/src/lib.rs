@@ -32,5 +32,5 @@ pub use sched::SchedGauges;
 pub use shard::{route_key_evals, PartitionSpec, ShardRouter};
 pub use time::{Duration, Time};
 pub use tuple::{ControlSignal, Tuple, TupleId, TupleKind};
-pub use value::Value;
+pub use value::{Value, Values};
 pub use wire::{WireError, WireGauges};

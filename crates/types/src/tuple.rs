@@ -13,7 +13,7 @@
 //! * **REC_DONE** — marks the end of a reconciliation's correction sequence.
 
 use crate::time::Time;
-use crate::value::Value;
+use crate::value::{Value, Values};
 use std::fmt;
 
 /// Identifies a tuple uniquely within its stream.
@@ -63,7 +63,8 @@ impl TupleKind {
     }
 }
 
-/// A stream tuple.
+/// A stream tuple. It is 56 bytes on 64-bit targets and clones without a
+/// heap allocation (see [`Values`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     /// Type tag.
@@ -79,29 +80,29 @@ pub struct Tuple {
     /// so that a following SJoin can tell its two logical inputs apart.
     pub origin: u16,
     /// Attribute values `a1, ..., am`.
-    pub values: Vec<Value>,
+    pub values: Values,
 }
 
 impl Tuple {
     /// A stable insertion.
-    pub fn insertion(id: TupleId, stime: Time, values: Vec<Value>) -> Tuple {
+    pub fn insertion(id: TupleId, stime: Time, values: impl Into<Values>) -> Tuple {
         Tuple {
             kind: TupleKind::Insertion,
             id,
             stime,
             origin: 0,
-            values,
+            values: values.into(),
         }
     }
 
     /// A tentative insertion.
-    pub fn tentative(id: TupleId, stime: Time, values: Vec<Value>) -> Tuple {
+    pub fn tentative(id: TupleId, stime: Time, values: impl Into<Values>) -> Tuple {
         Tuple {
             kind: TupleKind::Tentative,
             id,
             stime,
             origin: 0,
-            values,
+            values: values.into(),
         }
     }
 
@@ -113,7 +114,7 @@ impl Tuple {
             id,
             stime,
             origin: 0,
-            values: Vec::new(),
+            values: Values::new(),
         }
     }
 
@@ -125,7 +126,7 @@ impl Tuple {
             id,
             stime: Time::ZERO,
             origin: 0,
-            values: vec![Value::Int(last_kept.0 as i64)],
+            values: Values::from([Value::Int(last_kept.0 as i64)]),
         }
     }
 
@@ -136,7 +137,7 @@ impl Tuple {
             id,
             stime,
             origin: 0,
-            values: Vec::new(),
+            values: Values::new(),
         }
     }
 

@@ -7,13 +7,17 @@
 //! `Eq`, `Ord`, and `Hash` with explicit float semantics (total order via
 //! `f64::total_cmp`, hashing via bit patterns) instead of IEEE partial
 //! comparisons.
+//!
+//! A tuple's attribute list is a [`Values`]: up to two values live inline,
+//! wider rows share one `Arc<[Value]>`, so cloning a tuple never allocates.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A single attribute value.
+/// A single attribute value (16 bytes: strings sit behind a thin pointer).
 #[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
@@ -22,14 +26,15 @@ pub enum Value {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// Immutable interned string (cheap to clone).
-    Str(Arc<str>),
+    /// Immutable shared string: cloning bumps a reference count. Equal
+    /// strings are not deduplicated.
+    Str(Arc<String>),
 }
 
 impl Value {
     /// Builds a string value.
-    pub fn str(s: impl Into<Arc<str>>) -> Value {
-        Value::Str(s.into())
+    pub fn str(s: impl Into<String>) -> Value {
+        Value::Str(Arc::new(s.into()))
     }
 
     /// Interprets the value as an integer if it is one.
@@ -153,7 +158,130 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(Arc::from(v))
+        Value::str(v)
+    }
+}
+
+/// A tuple's attribute list `a1, ..., am`, read as a `[Value]` slice.
+///
+/// Rows of up to two attributes (every source row and most operator
+/// outputs) are stored inline; wider rows share one `Arc<[Value]>`. Either
+/// way a clone is a copy plus at most a reference-count bump, never a heap
+/// allocation. Equality and `Debug` are those of the slice.
+#[derive(Clone, Default)]
+pub struct Values(Repr);
+
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Value),
+    Two([Value; 2]),
+    Shared(Arc<[Value]>),
+}
+
+impl Values {
+    /// No attributes.
+    pub fn new() -> Values {
+        Values(Repr::Empty)
+    }
+
+    /// The attributes as a slice.
+    pub fn as_slice(&self) -> &[Value] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(v) => std::slice::from_ref(v),
+            Repr::Two(vs) => vs,
+            Repr::Shared(vs) => vs,
+        }
+    }
+
+    /// Builds a row of `n` values, the `i`-th from `next(i)`, stopping at
+    /// the first error. Rows of up to two values never touch the heap.
+    #[inline]
+    pub fn try_from_fn<E>(
+        n: usize,
+        mut next: impl FnMut(usize) -> Result<Value, E>,
+    ) -> Result<Values, E> {
+        Ok(Values(match n {
+            0 => Repr::Empty,
+            1 => Repr::One(next(0)?),
+            2 => {
+                let a = next(0)?;
+                Repr::Two([a, next(1)?])
+            }
+            _ => Repr::Shared((0..n).map(next).collect::<Result<_, E>>()?),
+        }))
+    }
+
+    /// True when the row is wide enough to live in a shared allocation
+    /// (more than two attributes).
+    pub fn is_shared(&self) -> bool {
+        matches!(self.0, Repr::Shared(_))
+    }
+}
+
+impl Deref for Values {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        self.as_slice()
+    }
+}
+
+impl FromIterator<Value> for Values {
+    /// Collects inline when the iterator yields at most two values;
+    /// otherwise into one shared allocation (a single allocation when the
+    /// iterator's length is exact, as for slices and arrays).
+    #[inline]
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Values {
+        let mut it = iter.into_iter();
+        let Some(a) = it.next() else {
+            return Values(Repr::Empty);
+        };
+        let Some(b) = it.next() else {
+            return Values(Repr::One(a));
+        };
+        let Some(c) = it.next() else {
+            return Values(Repr::Two([a, b]));
+        };
+        Values(Repr::Shared([a, b, c].into_iter().chain(it).collect()))
+    }
+}
+
+impl From<Vec<Value>> for Values {
+    fn from(v: Vec<Value>) -> Values {
+        if v.len() > 2 {
+            Values(Repr::Shared(v.into()))
+        } else {
+            v.into_iter().collect()
+        }
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Values {
+    fn from(v: [Value; N]) -> Values {
+        v.into_iter().collect()
+    }
+}
+
+impl PartialEq for Values {
+    fn eq(&self, other: &Values) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Values {}
+
+impl PartialEq<Vec<Value>> for Values {
+    fn eq(&self, other: &Vec<Value>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Values {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 

@@ -38,9 +38,8 @@ use crate::batch::TupleBatch;
 use crate::ids::NodeId;
 use crate::time::Time;
 use crate::tuple::{Tuple, TupleId, TupleKind};
-use crate::value::Value;
+use crate::value::{Value, Values};
 use std::fmt;
-use std::sync::Arc;
 
 /// Bytes of frame header that follow the length prefix: from (4) + to (4)
 /// + kind (1).
@@ -182,7 +181,7 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     put_u64(buf, t.stime.as_micros());
     put_u16(buf, t.origin);
     put_u32(buf, t.values.len() as u32);
-    for v in &t.values {
+    for v in t.values.iter() {
         put_value(buf, v);
     }
 }
@@ -291,7 +290,7 @@ impl<'a> Reader<'a> {
                 1 => Ok(Value::Bool(true)),
                 tag => Err(WireError::BadTag { what: "bool", tag }),
             },
-            0x03 => Ok(Value::Str(Arc::from(self.str()?))),
+            0x03 => Ok(Value::str(self.str()?)),
             tag => Err(WireError::BadTag { what: "value", tag }),
         }
     }
@@ -315,16 +314,13 @@ impl<'a> Reader<'a> {
         let stime = Time(self.u64()?);
         let origin = self.u16()?;
         let nvalues = self.u32()? as usize;
-        // A tuple value is at least 2 bytes on the wire; cap the
-        // pre-allocation by what the buffer could actually hold so a
-        // corrupted count cannot force a huge reservation.
+        // A tuple value is at least 2 bytes on the wire; reject a count
+        // the buffer could not hold so a corrupted one cannot force a huge
+        // reservation. Rows of up to two values decode inline.
         if nvalues > self.remaining() / 2 + 1 {
             return Err(WireError::Truncated);
         }
-        let mut values = Vec::with_capacity(nvalues);
-        for _ in 0..nvalues {
-            values.push(self.value()?);
-        }
+        let values = Values::try_from_fn(nvalues, |_| self.value())?;
         Ok(Tuple {
             kind,
             id,

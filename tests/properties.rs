@@ -261,6 +261,134 @@ fn sunion_batch_and_per_tuple_paths_are_equivalent() {
     }
 }
 
+/// SOutput's batch path forwards a batch by view unless it is stabilizing
+/// or the batch holds a REC_DONE. Over random batches of all five kinds,
+/// with stabilization entered at random points and random checkpoints
+/// restored (in memory or through the durable codec), it must emit the
+/// same tuples and signals and keep the same state as tuple-at-a-time
+/// processing; every steady-state batch must leave as the allocation it
+/// arrived in.
+#[test]
+fn soutput_batch_and_per_tuple_paths_are_equivalent() {
+    use borealis::ops::{BatchEmitter, OpSnapshot, Operator, SOutput};
+    use borealis::types::wire::Reader;
+
+    enum Step {
+        Feed(TupleBatch),
+        Stabilize,
+        Checkpoint,
+        Restore { durable: bool },
+    }
+    fn state(s: &SOutput) -> Vec<u8> {
+        let mut buf = Vec::new();
+        (s.snapshot_codec().encode)(&s.checkpoint(), &mut buf);
+        buf
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x50_07);
+    let mut by_view = 0;
+    for case in 0..60 {
+        let mut next_id = 1u64;
+        let steps: Vec<Step> = (0..rng.gen_range(1usize..40))
+            .map(|_| match rng.gen_range(0u32..100) {
+                0..=79 => {
+                    let n = rng.gen_range(0usize..12);
+                    let rec_done = rng.gen_range(0u32..100) < 15;
+                    let tuples = (0..n)
+                        .map(|_| {
+                            let stime = Time::from_millis(rng.gen_range(0u64..1_000));
+                            // Data ids mostly advance; some repeat a recent
+                            // id, as a reconciliation replay does.
+                            let id = if rng.gen_range(0u32..4) == 0 {
+                                TupleId(next_id.saturating_sub(rng.gen_range(1u64..6)))
+                            } else {
+                                next_id += 1;
+                                TupleId(next_id)
+                            };
+                            let v = vec![Value::Int(id.0 as i64)];
+                            match rng.gen_range(0u32..100) {
+                                0..=54 => Tuple::insertion(id, stime, v),
+                                55..=79 => Tuple::tentative(id, stime, v),
+                                80..=91 => Tuple::boundary(TupleId::NONE, stime),
+                                92..=95 => Tuple::undo(TupleId::NONE, id),
+                                _ if rec_done => Tuple::rec_done(TupleId::NONE, stime),
+                                _ => Tuple::boundary(TupleId::NONE, stime),
+                            }
+                        })
+                        .collect();
+                    Step::Feed(TupleBatch::from_vec(tuples))
+                }
+                80..=87 => Step::Stabilize,
+                88..=93 => Step::Checkpoint,
+                _ => Step::Restore {
+                    durable: rng.gen_range(0u32..2) == 0,
+                },
+            })
+            .collect();
+
+        let run = |batched: bool| {
+            let mut s = SOutput::new();
+            let mut viewed = 0;
+            let mut snap: Option<OpSnapshot> = None;
+            let mut tuples = Vec::new();
+            let mut signals = Vec::new();
+            let mut states = Vec::new();
+            for step in &steps {
+                match step {
+                    Step::Feed(batch) => {
+                        let steady = !s.is_stabilizing()
+                            && !batch.iter().any(|t| t.kind == TupleKind::RecDone);
+                        let mut out = BatchEmitter::new();
+                        if batched {
+                            s.process_batch(0, batch, Time::ZERO, &mut out);
+                        } else {
+                            for t in batch.iter() {
+                                s.process(0, t, Time::ZERO, &mut out);
+                            }
+                        }
+                        let (chunks, sigs) = out.take();
+                        if batched && steady && !batch.is_empty() {
+                            assert_eq!(chunks.len(), 1, "case {case}: one forwarded view");
+                            assert!(
+                                chunks[0].shares_backing(batch),
+                                "case {case}: steady-state batch was copied"
+                            );
+                            viewed += 1;
+                        }
+                        tuples.extend(chunks.iter().flat_map(|c| c.to_vec()));
+                        signals.extend(sigs);
+                        states.push(state(&s));
+                    }
+                    Step::Stabilize => s.begin_stabilization(),
+                    Step::Checkpoint => snap = Some(s.checkpoint()),
+                    Step::Restore { durable } => {
+                        let Some(taken) = &snap else { continue };
+                        if *durable {
+                            let mut buf = Vec::new();
+                            (s.snapshot_codec().encode)(taken, &mut buf);
+                            let decoded = (s.snapshot_codec().decode)(&mut Reader::new(&buf))
+                                .expect("snapshot decodes");
+                            s.restore(&decoded);
+                        } else {
+                            s.restore(taken);
+                        }
+                        states.push(state(&s));
+                    }
+                }
+            }
+            (tuples, signals, states, viewed)
+        };
+
+        let per_tuple = run(false);
+        let batched = run(true);
+        by_view += batched.3;
+        assert_eq!(per_tuple.0, batched.0, "case {case}: outputs diverge");
+        assert_eq!(per_tuple.1, batched.1, "case {case}: signals diverge");
+        assert_eq!(per_tuple.2, batched.2, "case {case}: states diverge");
+    }
+    assert!(by_view > 100, "only {by_view} batches took the view path");
+}
+
 /// Copy-on-write snapshot soundness: for random inputs and a random
 /// checkpoint position, mutating an operator after its checkpoint (forcing
 /// the CoW divergence) and then restoring must reproduce exactly the
